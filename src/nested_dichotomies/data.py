@@ -300,10 +300,13 @@ def parse_arff(text: str) -> Dataset:
     rows: list[list[float]] = []
     in_data = False
     saw_relation = False
+    decoders = None
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw).strip()
+        # a data row without comments or quotes takes the plain split
+        plain = in_data and "%" not in raw and "'" not in raw and '"' not in raw
+        line = (raw if plain else _strip_comment(raw)).strip()
         if not line:
             continue
         if not in_data and line.startswith("@"):
@@ -319,6 +322,7 @@ def parse_arff(text: str) -> Dataset:
                 if not attributes:
                     raise ParseError(lineno, "@data with no attributes declared")
                 in_data = True
+                decoders = _plain_decoders(attributes)
             else:
                 raise ParseError(lineno, f"unknown declaration {word!r}")
             continue
@@ -326,7 +330,8 @@ def parse_arff(text: str) -> Dataset:
             raise ParseError(lineno, "data row before @data section")
         if line.startswith("{"):
             raise UnsupportedFeature(lineno, "sparse ARFF rows are not supported")
-        rows.append(_parse_data_row(line, attributes, lineno))
+        row = _parse_plain_row(line, decoders) if plain else None
+        rows.append(row if row is not None else _parse_data_row(line, attributes, lineno))
 
     if not in_data:
         raise ParseError(len(lines) or 1, "no @data section")
@@ -340,6 +345,33 @@ def _last_nominal(attributes: list[AttributeSpec]) -> int:
         if attributes[j].is_nominal:
             return j
     raise EmptyInput("no nominal attribute to use as the class")
+
+
+def _plain_decoders(attributes: list[AttributeSpec]) -> list[dict[str, float] | None]:
+    """Per attribute, None for numeric or a ``{value: float(index)}`` map
+    for nominal; ``?`` is left out so that it reaches the missing-value
+    error of ``_parse_data_row``."""
+    return [
+        {v: float(i) for i, v in enumerate(spec.values) if v != "?"}
+        if spec.is_nominal
+        else None
+        for spec in attributes
+    ]
+
+
+def _parse_plain_row(line: str, decoders) -> list[float] | None:
+    """Fast path for a row with no quotes or comment: None when the row
+    does not parse, so that ``_parse_data_row`` raises the error."""
+    fields = line.split(",")
+    if len(fields) != len(decoders):
+        return None
+    try:
+        return [
+            float(tok) if dec is None else dec[tok.strip()]
+            for dec, tok in zip(decoders, fields)
+        ]
+    except (KeyError, ValueError):
+        return None
 
 
 def _parse_data_row(

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .data import Dataset, FoldPlan, train_test_split
 from .errors import MismatchedPlans, NDError
@@ -166,6 +165,8 @@ def corrected_t(
             **common,
         )
     t = mean / math.sqrt((1.0 / runs + ratio) * var)
+    from scipy.special import stdtrit  # here, to keep scipy out of the package import
+
     critical = float(stdtrit(runs - 1, 1.0 - alpha / 2.0))
     significant = abs(t) > critical
     direction = "none" if not significant else ("gain" if t > 0 else "loss")

@@ -12,6 +12,15 @@ When a node is impure but no candidate split has positive gain (XOR-like
 data), the lowest-indexed feasible split is taken anyway; recursion still
 terminates because both sides must receive at least the per-leaf minimum.
 
+Numeric split search follows the attribute lists of SLIQ (Mehta, Agrawal
+and Rissanen, 1996): each numeric column is argsorted once per fit, and a
+split stable-partitions the node's slice of every sorted list, so each
+node sees its rows in the order its own stable sort would give.  A node
+scores all numeric attributes in one pass: cumulative weight sums along
+the sorted lists, entropy terms only at value boundaries that leave the
+per-leaf minimum on both sides, and a per-attribute maximum.  Nominal
+attributes count weights per value with ``bincount``.
+
 Pruning is pessimistic-error pruning: a subtree collapses to a leaf when
 the leaf's upper-confidence error estimate does not exceed the subtree's.
 No subtree raising, no missing-value handling.
@@ -20,9 +29,9 @@ No subtree raising, no missing-value handling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..data import Dataset
 from .base import BinaryModel, binary_class_info
@@ -72,15 +81,21 @@ class _Leaf:
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
-    out = np.zeros_like(a)
-    pos = a > 0
-    out[pos] = a[pos] * np.log2(a[pos])
-    return out
+    return a * np.log2(a, out=np.zeros_like(a), where=a > 0)
 
 
 def _ent(w_first, w_second):
     """Unnormalized entropy (weight * bits) of a two-class count pair."""
     return _xlog2x(w_first + w_second) - _xlog2x(w_first) - _xlog2x(w_second)
+
+
+@lru_cache(maxsize=32)
+def _upper_z(cf: float):
+    """Normal deviate of the one-sided ``cf`` bound.  scipy is imported
+    here, on the first prune, to keep it out of the package import."""
+    from scipy.special import ndtri
+
+    return ndtri(1.0 - cf)
 
 
 def add_errs(n: float, e: float, cf: float) -> float:
@@ -96,7 +111,7 @@ def add_errs(n: float, e: float, cf: float) -> float:
         return base + e * (add_errs(n, 1.0, cf) - base)
     if e + 0.5 >= n:
         return max(n - e, 0.0)
-    z = ndtri(1.0 - cf)
+    z = _upper_z(cf)
     f = (e + 0.5) / n
     r = (f + z * z / (2.0 * n) + z * np.sqrt(f / n - f * f / n + z * z / (4 * n * n))) / (
         1.0 + z * z / n
@@ -174,39 +189,6 @@ class TreeModel(BinaryModel):
         return lines
 
 
-def _best_numeric(col, target, weights, min_leaf):
-    """Best threshold for one numeric column.
-
-    Returns (gain_u, split_info_u, threshold) in unnormalized weight*bits
-    units, or None when no feasible threshold exists.
-    """
-    order = np.argsort(col, kind="stable")
-    v = col[order]
-    boundaries = np.flatnonzero(v[:-1] < v[1:])
-    if boundaries.size == 0:
-        return None
-    w = weights[order]
-    wt = w * target[order]
-    cw = np.cumsum(w)[boundaries]
-    cw1 = np.cumsum(wt)[boundaries]
-    total_w = w.sum()
-    total_1 = wt.sum()
-
-    ok = (cw >= min_leaf) & (total_w - cw >= min_leaf)
-    if not ok.any():
-        return None
-    cw, cw1 = cw[ok], cw1[ok]
-    boundaries = boundaries[ok]
-    parent = _ent(total_1, total_w - total_1)
-    children = _ent(cw1, cw - cw1) + _ent(total_1 - cw1, (total_w - cw) - (total_1 - cw1))
-    gains = parent - children
-    split_info = _xlog2x(total_w) - _xlog2x(cw) - _xlog2x(total_w - cw)
-    best = _argbest(gains, split_info)
-    i = boundaries[best]
-    thr = (v[i] + v[i + 1]) / 2.0
-    return float(gains[best]), float(split_info[best]), thr
-
-
 def _best_nominal(col, target, weights, n_values, min_leaf):
     """Best ``value vs rest`` test for one nominal column."""
     cats = col.astype(np.intp)
@@ -240,49 +222,158 @@ def _score(gain, split_info, use_ratio):
     return gain / split_info if split_info > _EPS else 0.0
 
 
-def _grow(values, target, weights, feature_cols, nominal_sizes, params):
-    w1 = float(weights @ target)
-    w_total = float(weights.sum())
-    w2 = w_total - w1
-    min_leaf = float(params.min_instances_per_leaf)
+class _Grower:
+    """Grows one unpruned tree over an attribute list sorted once per fit.
 
-    if w1 <= 0 or w2 <= 0 or w_total < 2 * min_leaf:
-        return _Leaf(w1, w2)
+    ``order[a]`` lists row ids by ascending value of numeric attribute
+    ``numeric[a]`` (stable, so ties keep row order); the last row of
+    ``order`` lists row ids in dataset order.  Each node owns the column
+    range ``lo:hi`` of ``order`` and ``sorted_values``; a split partitions
+    that range in place, left rows first, keeping relative order in every
+    row, so each node's range is its own stable sort.  The gather and
+    cumulative-sum buffers are allocated once and reused by every node.
+    """
 
-    candidates = []
-    for attr in feature_cols:
-        col = values[:, attr]
-        if nominal_sizes[attr]:
-            cand = _best_nominal(col, target, weights, nominal_sizes[attr], min_leaf)
+    def __init__(self, values, target, weights, feature_cols, nominal_sizes, params):
+        n = values.shape[0]
+        self.values = values
+        self.target = target
+        self.weights = weights
+        self.weighted_target = weights * target
+        self.nominal_sizes = nominal_sizes
+        self.numeric = tuple(j for j in feature_cols if not nominal_sizes[j])
+        self.nominal = tuple(j for j in feature_cols if nominal_sizes[j])
+        self.params = params
+        self.min_leaf = float(params.min_instances_per_leaf)
+
+        m = len(self.numeric)
+        cols = np.ascontiguousarray(values[:, self.numeric].T)
+        self.order = np.empty((m + 1, n), dtype=np.intp)
+        self.order[:m] = np.argsort(cols, axis=1, kind="stable")
+        self.order[m] = np.arange(n)
+        self.sorted_values = np.take_along_axis(cols, self.order[:m], axis=1)
+        self._cw = np.empty(m * n)
+        self._cw1 = np.empty(m * n)
+        self._right_w = np.empty(m * n)
+        self._ok = np.empty(m * n, dtype=bool)
+        self._flag = np.empty(m * n, dtype=bool)
+        self._go_left = np.empty(n, dtype=bool)
+
+    def grow(self, lo, hi):
+        rows = self.order[-1, lo:hi]
+        weights = self.weights[rows]
+        target = self.target[rows]
+        w1 = float(weights @ target)
+        w_total = float(weights.sum())
+        w2 = w_total - w1
+        min_leaf = self.min_leaf
+
+        if w1 <= 0 or w2 <= 0 or w_total < 2 * min_leaf:
+            return _Leaf(w1, w2)
+
+        candidates = self._numeric_candidates(lo, hi)
+        for attr in self.nominal:
+            cand = _best_nominal(
+                self.values[rows, attr], target, weights, self.nominal_sizes[attr], min_leaf
+            )
+            if cand is not None:
+                candidates.append((attr, *cand))
+        if not candidates:
+            return _Leaf(w1, w2)
+
+        gain_floor = _EPS * max(1.0, w_total)
+        positive = [c for c in candidates if c[1] > gain_floor]
+        pool = positive if positive else candidates
+        if positive:
+            use_ratio = self.params.use_gain_ratio
+            scores = [_score(g / w_total, si / w_total, use_ratio) for _, g, si, _ in pool]
+            top = max(scores)
+            tied = [c for s, c in zip(scores, pool) if s >= top - _EPS]
         else:
-            cand = _best_numeric(col, target, weights, min_leaf)
-        if cand is not None:
-            candidates.append((attr, *cand))
-    if not candidates:
-        return _Leaf(w1, w2)
+            tied = pool  # no informative split: fall back to position order
+        attr, _gain, _si, thr = min(tied, key=lambda c: (c[0], c[3]))
 
-    gain_floor = _EPS * max(1.0, w_total)
-    positive = [c for c in candidates if c[1] > gain_floor]
-    pool = positive if positive else candidates
-    if positive:
-        scores = [_score(g / w_total, si / w_total, params.use_gain_ratio) for _, g, si, _ in pool]
-        top = max(scores)
-        tied = [c for s, c in zip(scores, pool) if s >= top - _EPS]
-    else:
-        tied = pool  # no informative split: fall back to position order
-    attr, _gain, _si, thr = min(tied, key=lambda c: (c[0], c[3]))
+        nominal = bool(self.nominal_sizes[attr])
+        col = self.values[rows, attr]
+        go_left = col == thr if nominal else col <= thr
+        mid = lo + self._partition(lo, hi, rows, go_left)
+        left = self.grow(lo, mid)
+        right = self.grow(mid, hi)
+        return _Node(attr, thr, nominal, left, right, w1, w2)
 
-    col = values[:, attr]
-    go_left = col == thr if nominal_sizes[attr] else col <= thr
-    left = _grow(
-        values[go_left], target[go_left], weights[go_left],
-        feature_cols, nominal_sizes, params,
-    )
-    right = _grow(
-        values[~go_left], target[~go_left], weights[~go_left],
-        feature_cols, nominal_sizes, params,
-    )
-    return _Node(attr, thr, bool(nominal_sizes[attr]), left, right, w1, w2)
+    def _numeric_candidates(self, lo, hi):
+        """Best threshold of every numeric attribute at the node ``lo:hi``,
+        as ``(attr, gain_u, split_info_u, threshold)`` in unnormalized
+        weight*bits units; attributes without a feasible threshold are
+        left out."""
+        m, k = len(self.numeric), hi - lo
+        if m == 0:
+            return []
+        ids = self.order[:m, lo:hi]
+        cw = self._cw[: m * k].reshape(m, k)
+        cw1 = self._cw1[: m * k].reshape(m, k)
+        np.take(self.weights, ids, out=cw, mode="clip")
+        np.take(self.weighted_target, ids, out=cw1, mode="clip")
+        total_w = cw.sum(axis=1)
+        total_1 = cw1.sum(axis=1)
+        np.cumsum(cw, axis=1, out=cw)
+        np.cumsum(cw1, axis=1, out=cw1)
+
+        # feasible: a value boundary with at least min_leaf weight each side
+        v = self.sorted_values[:, lo:hi]
+        left_w = cw[:, :-1]
+        ok = self._ok[: m * (k - 1)].reshape(m, k - 1)
+        flag = self._flag[: m * (k - 1)].reshape(m, k - 1)
+        right_w = self._right_w[: m * (k - 1)].reshape(m, k - 1)
+        np.less(v[:, :-1], v[:, 1:], out=ok)
+        ok &= np.greater_equal(left_w, self.min_leaf, out=flag)
+        np.subtract(total_w[:, None], left_w, out=right_w)
+        ok &= np.greater_equal(right_w, self.min_leaf, out=flag)
+        a, i = np.nonzero(ok)
+        if a.size == 0:
+            return []
+
+        lw, lw1 = cw[a, i], cw1[a, i]
+        tw, t1 = total_w[a], total_1[a]
+        parent = _ent(total_1, total_w - total_1)[a]
+        children = _ent(lw1, lw - lw1) + _ent(t1 - lw1, (tw - lw) - (t1 - lw1))
+        gains = parent - children
+        split_info = _xlog2x(tw) - _xlog2x(lw) - _xlog2x(tw - lw)
+
+        # per attribute (a segment of the candidates), the first candidate
+        # within _EPS of the segment's highest gain
+        first = np.empty(a.size, dtype=bool)
+        first[0] = True
+        np.not_equal(a[1:], a[:-1], out=first[1:])
+        segment = np.cumsum(first) - 1
+        top = np.maximum.reduceat(gains, np.flatnonzero(first))
+        hit = np.flatnonzero(gains >= (top - _EPS)[segment])
+        best = hit[np.concatenate(([True], segment[hit[1:]] != segment[hit[:-1]]))]
+
+        ra, ri = a[best], i[best]
+        thresholds = (v[ra, ri] + v[ra, ri + 1]) / 2.0
+        return [
+            (self.numeric[r], float(gains[b]), float(split_info[b]), thr)
+            for r, b, thr in zip(ra.tolist(), best.tolist(), thresholds)
+        ]
+
+    def _partition(self, lo, hi, rows, go_left):
+        """Stable-partition the node range, left rows first, in every row
+        of ``order`` and ``sorted_values``; returns the left row count."""
+        self._go_left[rows] = go_left
+        n_left = int(np.count_nonzero(go_left))
+        n_right = hi - lo - n_left
+        to_left = self._go_left[self.order[:, lo:hi]]
+        for lists, left in (
+            (self.order[:, lo:hi], to_left),
+            (self.sorted_values[:, lo:hi], to_left[:-1]),
+        ):
+            # boolean indexing reads row by row, so each row keeps its order
+            lists[:, :n_left], lists[:, n_left:] = (
+                lists[left].reshape(-1, n_left),
+                lists[~left].reshape(-1, n_right),
+            )
+        return n_left
 
 
 def _pessimistic_errors(node, cf: float) -> float:
@@ -316,7 +407,8 @@ def fit_tree(d: Dataset, params: TreeParams = TreeParams()) -> TreeModel:
     nominal_sizes = tuple(
         len(spec.values) if spec.is_nominal else 0 for spec in d.attributes
     )
-    root = _grow(d.values, target, d.weights, feature_cols, nominal_sizes, params)
+    grower = _Grower(d.values, target, d.weights, feature_cols, nominal_sizes, params)
+    root = grower.grow(0, d.n_instances)
     if params.prune:
         root = _prune(root, params.pruning_confidence)
     return TreeModel(root, d.attributes, d.class_attribute, (lo, hi))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import gaussian_dataset, load_uci
 from nested_dichotomies.data import (
     AttributeSpec,
     Dataset,
+    _parse_data_row,
+    _strip_comment,
     bootstrap_sample,
     parse_arff,
     parse_csv,
@@ -133,6 +137,86 @@ def test_round_trip_real_file():
     d2 = parse_arff(serialize_arff(d))
     assert d2.attributes == d.attributes
     np.testing.assert_allclose(d2.values, d.values)
+
+
+_TOKEN_CHARS = "abXYz09_-.+ ,%{}"
+
+
+def _arff_tokens():
+    # names and nominal values, including ones that serialize_arff must quote
+    return st.text(alphabet=_TOKEN_CHARS, min_size=1, max_size=5).filter(
+        lambda t: t == t.strip() and t != "?"
+    )
+
+
+@st.composite
+def _arff_datasets(draw):
+    def attribute(nominal):
+        name = draw(_arff_tokens())
+        if not nominal:
+            return AttributeSpec(name)
+        values = draw(st.lists(_arff_tokens(), min_size=2, max_size=4, unique=True))
+        return AttributeSpec(name, tuple(values))
+
+    before = [attribute(draw(st.booleans())) for _ in range(draw(st.integers(0, 3)))]
+    after = [attribute(False) for _ in range(draw(st.integers(0, 2)))]
+    attrs = before + [attribute(True)] + after  # the class is the last nominal one
+    n = draw(st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cols = [
+        draw(st.lists(
+            st.integers(0, len(a.values) - 1) if a.is_nominal else finite, min_size=n, max_size=n
+        ))
+        for a in attrs
+    ]
+    return Dataset(attrs, np.asarray(cols, dtype=float).T, class_attribute=len(before))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arff_datasets())
+def test_arff_round_trip_property(d):
+    d2 = parse_arff(serialize_arff(d))
+    assert d2.attributes == d.attributes
+    assert d2.class_attribute == d.class_attribute
+    assert d2.values.tobytes() == d.values.tobytes()
+
+
+_ROW_HEADER = "@relation r\n@attribute x numeric\n@attribute c {a,b,'p,q',?}\n@data\n1,a\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "?,a",  # missing numeric value
+        "1,?",  # missing nominal value, even though '?' is declared
+        " ? , a",
+        "1,z",  # undeclared nominal value
+        "1,a,2",  # wrong field counts
+        "1",
+        "x1,a",  # non-numeric value
+        "1,'p,q'",  # quoted value containing a comma
+        "1,'z,q'",
+        "1,b % trailing comment",
+        "1,z % trailing comment",
+        " 1 ,  b ",  # spaces around tokens
+        "\t-2.5e3 ,a\t",
+    ],
+)
+def test_plain_row_fast_path_matches_slow_path(row):
+    # rows with quotes or '%' take the quote-aware _parse_data_row; plain
+    # rows take a fast split that falls back to it on any error, so both
+    # must give what _parse_data_row gives
+    attrs = list(parse_arff(_ROW_HEADER).attributes)
+    text = _ROW_HEADER + row + "\n"
+    try:
+        expected = _parse_data_row(_strip_comment(row).strip(), attrs, 6)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_arff(text)
+        assert type(err.value) is type(exc)
+        assert (err.value.line, str(err.value)) == (6, str(exc))
+    else:
+        assert list(parse_arff(text).values[-1]) == expected
 
 
 # -- CSV --------------------------------------------------------------

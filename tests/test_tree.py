@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gaussian_dataset, simple_dataset
 from nested_dichotomies.data import AttributeSpec, Dataset
 from nested_dichotomies.errors import SingleClass
 from nested_dichotomies.learners import TreeParams, fit_tree
-from nested_dichotomies.learners.tree import _Leaf, _Node, add_errs
+from nested_dichotomies.learners.base import binary_class_info
+from nested_dichotomies.learners.tree import (
+    _EPS,
+    TreeModel,
+    _Grower,
+    _Leaf,
+    _Node,
+    _prune,
+    add_errs,
+)
 
 
 def two_class(values, class_names=("a", "b"), attr_names=None, nominal=None):
@@ -188,3 +199,210 @@ def test_weighted_instances_change_leaf_frequencies():
     d = Dataset(attrs, values, 1, weights=np.array([3.0, 1.0]))
     m = fit_tree(d, TreeParams(min_instances_per_leaf=1, prune=False))
     assert m.predict_prob(np.array([0.0, 0.0])) == pytest.approx(0.75)
+
+
+# -- oracle: a per-attribute split search -----------------------------------
+#
+# ``_ref_fit`` grows a tree the direct way: at every node, one stable
+# argsort and one cumulative-sum pass per numeric attribute, copying the
+# node's rows for each child.  The presorted search must give the same
+# model text, bit for bit.
+
+
+def _ref_xlog2x(a):
+    a = np.asarray(a, dtype=np.float64)
+    out = np.zeros_like(a)
+    pos = a > 0
+    out[pos] = a[pos] * np.log2(a[pos])
+    return out
+
+
+def _ref_ent(w_first, w_second):
+    return _ref_xlog2x(w_first + w_second) - _ref_xlog2x(w_first) - _ref_xlog2x(w_second)
+
+
+def _ref_argbest(gains):
+    top = gains.max()
+    return int(np.flatnonzero(gains >= top - _EPS)[0])
+
+
+def _ref_best_numeric(col, target, weights, min_leaf):
+    order = np.argsort(col, kind="stable")
+    v = col[order]
+    boundaries = np.flatnonzero(v[:-1] < v[1:])
+    if boundaries.size == 0:
+        return None
+    w = weights[order]
+    wt = w * target[order]
+    cw = np.cumsum(w)[boundaries]
+    cw1 = np.cumsum(wt)[boundaries]
+    total_w = w.sum()
+    total_1 = wt.sum()
+    ok = (cw >= min_leaf) & (total_w - cw >= min_leaf)
+    if not ok.any():
+        return None
+    cw, cw1 = cw[ok], cw1[ok]
+    boundaries = boundaries[ok]
+    parent = _ref_ent(total_1, total_w - total_1)
+    children = _ref_ent(cw1, cw - cw1) + _ref_ent(
+        total_1 - cw1, (total_w - cw) - (total_1 - cw1)
+    )
+    gains = parent - children
+    split_info = _ref_xlog2x(total_w) - _ref_xlog2x(cw) - _ref_xlog2x(total_w - cw)
+    best = _ref_argbest(gains)
+    i = boundaries[best]
+    return float(gains[best]), float(split_info[best]), (v[i] + v[i + 1]) / 2.0
+
+
+def _ref_best_nominal(col, target, weights, n_values, min_leaf):
+    cats = col.astype(np.intp)
+    w_all = np.bincount(cats, weights=weights, minlength=n_values)
+    w_one = np.bincount(cats, weights=weights * target, minlength=n_values)
+    total_w = w_all.sum()
+    total_1 = w_one.sum()
+    ok = (w_all >= min_leaf) & (total_w - w_all >= min_leaf)
+    if not ok.any():
+        return None
+    idx = np.flatnonzero(ok)
+    lw, lw1 = w_all[idx], w_one[idx]
+    parent = _ref_ent(total_1, total_w - total_1)
+    children = _ref_ent(lw1, lw - lw1) + _ref_ent(
+        total_1 - lw1, (total_w - lw) - (total_1 - lw1)
+    )
+    gains = parent - children
+    split_info = _ref_xlog2x(total_w) - _ref_xlog2x(lw) - _ref_xlog2x(total_w - lw)
+    best = _ref_argbest(gains)
+    return float(gains[best]), float(split_info[best]), float(idx[best])
+
+
+def _ref_grow(values, target, weights, feature_cols, nominal_sizes, params):
+    w1 = float(weights @ target)
+    w_total = float(weights.sum())
+    w2 = w_total - w1
+    min_leaf = float(params.min_instances_per_leaf)
+    if w1 <= 0 or w2 <= 0 or w_total < 2 * min_leaf:
+        return _Leaf(w1, w2)
+    candidates = []
+    for attr in feature_cols:
+        col = values[:, attr]
+        if nominal_sizes[attr]:
+            cand = _ref_best_nominal(col, target, weights, nominal_sizes[attr], min_leaf)
+        else:
+            cand = _ref_best_numeric(col, target, weights, min_leaf)
+        if cand is not None:
+            candidates.append((attr, *cand))
+    if not candidates:
+        return _Leaf(w1, w2)
+    gain_floor = _EPS * max(1.0, w_total)
+    positive = [c for c in candidates if c[1] > gain_floor]
+    if positive:
+        def score(g, si):
+            if not params.use_gain_ratio:
+                return g
+            return g / si if si > _EPS else 0.0
+
+        scores = [score(g / w_total, si / w_total) for _, g, si, _ in positive]
+        top = max(scores)
+        tied = [c for s, c in zip(scores, positive) if s >= top - _EPS]
+    else:
+        tied = candidates
+    attr, _gain, _si, thr = min(tied, key=lambda c: (c[0], c[3]))
+    col = values[:, attr]
+    go_left = col == thr if nominal_sizes[attr] else col <= thr
+
+    def grow(mask):
+        return _ref_grow(
+            values[mask], target[mask], weights[mask], feature_cols, nominal_sizes, params
+        )
+
+    return _Node(attr, thr, bool(nominal_sizes[attr]), grow(go_left), grow(~go_left), w1, w2)
+
+
+def _ref_fit(d, params):
+    lo, hi, target = binary_class_info(d)
+    feature_cols = tuple(j for j in range(d.n_attributes) if j != d.class_attribute)
+    nominal_sizes = tuple(len(s.values) if s.is_nominal else 0 for s in d.attributes)
+    root = _ref_grow(d.values, target, d.weights, feature_cols, nominal_sizes, params)
+    if params.prune:
+        root = _prune(root, params.pruning_confidence)
+    return TreeModel(root, d.attributes, d.class_attribute, (lo, hi))
+
+
+_FRACTIONS = (0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def _tree_problems(draw):
+    n = draw(st.integers(2, 40))
+    kinds = draw(st.lists(st.sampled_from(("numeric", "nominal")), min_size=1, max_size=4))
+    class_at = draw(st.integers(0, len(kinds)))
+    attrs, cols = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "nominal":
+            size = draw(st.integers(2, 4))
+            attrs.append(AttributeSpec(f"n{j}", tuple(f"v{i}" for i in range(size))))
+            cols.append(draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)))
+        else:
+            # a few distinct values, so ties are the rule
+            pool = draw(st.lists(
+                st.sampled_from((-1.5, 0.0, 0.1, 0.2, 0.3, 2.0, 7.25)),
+                min_size=1, max_size=4, unique=True,
+            ))
+            attrs.append(AttributeSpec(f"x{j}"))
+            cols.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if len(set(labels)) == 1:
+        labels[0] ^= 1  # both classes present
+    attrs.insert(class_at, AttributeSpec("class", ("a", "b")))
+    cols.insert(class_at, labels)
+    weights = draw(st.lists(st.sampled_from(_FRACTIONS), min_size=n, max_size=n))
+    d = Dataset(attrs, np.asarray(cols, dtype=float).T, class_at, weights=weights)
+    params = TreeParams(
+        min_instances_per_leaf=draw(st.integers(1, 5)),
+        use_gain_ratio=draw(st.booleans()),
+        prune=draw(st.booleans()),
+    )
+    return d, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_problems())
+def test_presorted_search_matches_per_attribute_reference(problem):
+    d, params = problem
+    assert fit_tree(d, params).to_lines() == _ref_fit(d, params).to_lines()
+
+
+def _assert_root_candidates_match(d, params):
+    # gains and split info, not only the chosen split: a last-bit change in
+    # the sums would rarely show in the model text
+    _, _, target = binary_class_info(d)
+    feature_cols = tuple(j for j in range(d.n_attributes) if j != d.class_attribute)
+    sizes = tuple(len(s.values) if s.is_nominal else 0 for s in d.attributes)
+    grower = _Grower(d.values, target, d.weights, feature_cols, sizes, params)
+    got = grower._numeric_candidates(0, d.n_instances)
+    min_leaf = float(params.min_instances_per_leaf)
+    want = []
+    for attr in grower.numeric:
+        cand = _ref_best_numeric(d.values[:, attr], target, d.weights, min_leaf)
+        if cand is not None:
+            want.append((attr, *cand))
+    assert got == want
+    assert all(type(c[3]) is np.float64 for c in got)  # model text prints the type
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_problems())
+def test_root_candidates_match_reference_bitwise(problem):
+    _assert_root_candidates_match(*problem)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_presorted_search_matches_reference_on_vowel(vowel, seed):
+    # nodes of hundreds of rows: sums run past numpy's pairwise-sum block
+    rng = np.random.default_rng(seed)
+    pair = vowel.restrict_to_classes(rng.choice(vowel.n_classes, size=4, replace=False))
+    side = tuple(np.unique(pair.class_indices())[:2])
+    d = pair.relabel_binary(side).with_weights(rng.choice(_FRACTIONS, size=pair.n_instances))
+    for params in (TreeParams(), TreeParams(min_instances_per_leaf=1, use_gain_ratio=False)):
+        _assert_root_candidates_match(d, params)
+        assert fit_tree(d, params).to_lines() == _ref_fit(d, params).to_lines()
