@@ -16,14 +16,13 @@ from .data import (
     train_test_split,
     weighted_resample,
 )
-from .dichotomy import NDNode, NestedDichotomy, build_nd, predict_class, predict_distribution
+from .dichotomy import NDNode, NestedDichotomy, build_nd
 from .ensemble import (
     EnsembleModel,
     build_adaboost_ensemble,
     build_bagged_ensemble,
     build_multiboost_ensemble,
     build_random_ensemble,
-    ensemble_predict,
 )
 from .evaluation import CVResult, TTestOutcome, corrected_t, format_results_table, run_cv
 from .learners import (
@@ -36,7 +35,6 @@ from .learners import (
     fit_centroids,
     fit_logistic,
     fit_tree,
-    predict_prob,
 )
 from .combinatorics import (
     SpaceCount,

@@ -93,6 +93,8 @@ class MethodSpec:
             raise ValueError(f"unknown ensemble kind {self.ensemble_kind!r}")
         if self.size < 1:
             raise ValueError("ensemble size must be >= 1")
+        if self.subsample_cap is not None and self.subsample_cap < 1:
+            raise ValueError("cap must be >= 1")
 
     def learner_params(self):
         if self.learner_kind == "logistic":
@@ -148,6 +150,10 @@ class ExperimentConfig:
         if ref not in names:
             raise ValueError(f"reference method {ref!r} not in the method list")
         object.__setattr__(self, "reference", ref)
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if self.subsample_cap is not None and self.subsample_cap < 1:
+            raise ValueError("subsample_cap must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +262,7 @@ def parse_config(text: str) -> ExperimentConfig:
             scalars[key] = value
             scalar_lines[key] = lineno
 
-    def scalar_int(key: str, default: int) -> int:
+    def scalar_int(key: str, default: int | None) -> int | None:
         if key not in scalars:
             return default
         try:
@@ -280,7 +286,7 @@ def parse_config(text: str) -> ExperimentConfig:
             reference=scalars.get("reference", ""),
             out=scalars.get("out", "results"),
             jobs=scalar_int("jobs", 1),
-            subsample_cap=scalar_int("subsample_cap", 0) or None,
+            subsample_cap=scalar_int("subsample_cap", None),
         )
     except ValueError as exc:
         raise ConfigError(0, str(exc)) from None
@@ -316,42 +322,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ref_index = [m.name for m in cfg.methods].index(cfg.reference)
     results: dict[tuple[str, str], CVResult] = {}
 
-    def one_cell(ref: DatasetRef, d: Dataset, plan, method: MethodSpec):
+    def run_cell(ref: DatasetRef, d: Dataset, plan, method: MethodSpec):
         builder = method.make_builder(cfg.subsample_cap)
         return run_cv(d, builder, plan, dataset_id=ref.dataset_id, method_id=method.name)
 
-    jobs = []
+    cells = []
     for ref, d in loaded:
         plan = stratified_folds(d, cfg.k, cfg.repeats, child_seed(cfg.seed, ref.dataset_id))
-        for method in cfg.methods:
-            jobs.append((ref, d, plan, method))
+        cells.extend((ref, d, plan, method) for method in cfg.methods)
 
-    def run_job(job):
-        ref, d, plan, method = job
-        return (ref.dataset_id, method.name), one_cell(ref, d, plan, method)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(run_job, job) for job in jobs]
-            outcomes = []
-            for job, fut in zip(jobs, futures):
-                try:
-                    outcomes.append(fut.result())
-                except Exception as exc:
-                    outcomes.append(((job[0].dataset_id, job[3].name), exc))
-    else:
-        outcomes = []
-        for job in jobs:
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        futures = [pool.submit(run_cell, *cell) for cell in cells]
+        for (ref, _, _, method), fut in zip(cells, futures):
             try:
-                outcomes.append(run_job(job))
+                results[(ref.dataset_id, method.name)] = fut.result()
             except Exception as exc:
-                outcomes.append(((job[0].dataset_id, job[3].name), exc))
-
-    for key, value in outcomes:
-        if isinstance(value, Exception):
-            report.failures.append(f"{key[0]}/{key[1]}: {value}")
-        else:
-            results[key] = value
+                report.failures.append(f"{ref.dataset_id}/{method.name}: {exc}")
 
     _write_outputs(cfg, loaded, results, ref_index, out_dir, report)
     if report.failures:
@@ -486,12 +472,15 @@ def _cmd_evaluate(args) -> int:
     except OSError as exc:
         raise ConfigError(0, f"cannot read config: {exc}") from exc
     cfg = parse_config(text)
-    if args.out:
-        cfg = replace(cfg, out=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.jobs is not None:
-        cfg = replace(cfg, jobs=args.jobs)
+    try:
+        if args.out:
+            cfg = replace(cfg, out=args.out)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.jobs is not None:
+            cfg = replace(cfg, jobs=args.jobs)
+    except ValueError as exc:
+        raise ConfigError(0, str(exc)) from None
     report = run_experiment(cfg)
     for path in report.files:
         print(path)

@@ -70,10 +70,6 @@ def estimate_random_pair_count(c: float) -> float:
     return t(float(c))
 
 
-def estimate_random_pair_count_rounded(c: float) -> int:
-    return round(estimate_random_pair_count(c))
-
-
 @dataclass(frozen=True)
 class SpaceCount:
     c: int

@@ -10,9 +10,9 @@ The supported ARFF subset:
 
 Keywords are case-insensitive, '%' starts a comment, names and nominal
 values may be quoted with single or double quotes.  Sparse rows
-(``{i v, ...}``), string and date attributes, and missing values (``?``)
-are rejected.  The class attribute defaults to the last nominal attribute
-in declaration order.
+(``{i v, ...}``), string and date attributes, missing values (``?``) and
+NaN or infinite numbers are rejected.  The class attribute defaults to the
+last nominal attribute in declaration order.
 
 Values are held column-wise in a float matrix; nominal cells store the
 index of the value in the attribute's declared value list.  Datasets are
@@ -158,10 +158,6 @@ class Dataset:
     def instance(self, i: int) -> Instance:
         return Instance(self.values[i], float(self.weights[i]))
 
-    @property
-    def instances(self) -> list[Instance]:
-        return [self.instance(i) for i in range(self.n_instances)]
-
     def __len__(self) -> int:
         return self.n_instances
 
@@ -298,6 +294,7 @@ def parse_arff(text: str) -> Dataset:
     """
     attributes: list[AttributeSpec] = []
     rows: list[list[float]] = []
+    linenos: list[int] = []
     in_data = False
     saw_relation = False
     decoders = None
@@ -332,12 +329,13 @@ def parse_arff(text: str) -> Dataset:
             raise UnsupportedFeature(lineno, "sparse ARFF rows are not supported")
         row = _parse_plain_row(line, decoders) if plain else None
         rows.append(row if row is not None else _parse_data_row(line, attributes, lineno))
+        linenos.append(lineno)
 
     if not in_data:
         raise ParseError(len(lines) or 1, "no @data section")
     if not rows:
         raise EmptyInput("ARFF input has no data rows")
-    return _finish_dataset(attributes, rows, class_attribute=_last_nominal(attributes))
+    return _finish_dataset(attributes, rows, linenos, _last_nominal(attributes))
 
 
 def _last_nominal(attributes: list[AttributeSpec]) -> int:
@@ -404,8 +402,16 @@ def _parse_data_row(
     return row
 
 
-def _finish_dataset(attributes, rows, class_attribute: int) -> Dataset:
+def _finish_dataset(attributes, rows, linenos, class_attribute: int) -> Dataset:
+    """Dataset of the parsed rows; ``linenos[i]`` is the input line of row
+    ``i``, named when a value is NaN or infinite."""
     values = np.asarray(rows, dtype=np.float64)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ParseError(
+            linenos[i], f"non-finite value for attribute {attributes[j].name!r}"
+        )
     return Dataset(attributes, values, class_attribute)
 
 
@@ -447,7 +453,8 @@ def parse_csv(text: str, class_column: int, header: bool = False) -> Dataset:
 
     A column is numeric iff every value parses as a real number; anything
     else (including the class column, always) is nominal with values
-    ordered by first appearance.
+    ordered by first appearance.  NaN and infinite values raise
+    ParseError.
     """
     import csv as _csv
     import io
@@ -493,7 +500,7 @@ def parse_csv(text: str, class_column: int, header: bool = False) -> Dataset:
                 seen.setdefault(v, len(seen))
             attributes.append(AttributeSpec(names[j], tuple(seen)))
             values[:, j] = [seen[v] for v in cols[j]]
-    return Dataset(attributes, values, class_column)
+    return _finish_dataset(attributes, values, [ln for ln, _ in raw_rows], class_column)
 
 
 def _all_numeric(col) -> bool:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, Instance
+from .data import Dataset
 from .errors import NDError, TrainingError
 from .learners import ConstantModel, LearnerParams, fit_binary_model
+from .learners.base import _as_rows
 from .seeds import node_rng
 from .selection import SplitDecision, SubsetSelector
 
@@ -51,7 +52,25 @@ class NDNode:
         return frozenset((self.left.structure(), self.right.structure()))
 
 
-class NestedDichotomy:
+class MultiClassModel:
+    """Class picks and single-row predictions, all derived from the
+    subclass's ``predict_distribution_batch``; argmax ties go to the
+    lowest class index."""
+
+    def predict_distribution_batch(self, rows) -> np.ndarray:
+        raise NotImplementedError
+
+    def predict_distribution(self, x) -> np.ndarray:
+        return self.predict_distribution_batch(_as_rows(x))[0]
+
+    def predict_class_batch(self, rows) -> np.ndarray:
+        return np.argmax(self.predict_distribution_batch(rows), axis=1)
+
+    def predict_class(self, x) -> int:
+        return int(self.predict_class_batch(_as_rows(x))[0])
+
+
+class NestedDichotomy(MultiClassModel):
     def __init__(self, root: NDNode, class_names, build_seed: int, strategy_id: str):
         self.root = root
         self.class_names = tuple(class_names)
@@ -78,19 +97,6 @@ class NestedDichotomy:
 
         descend(self.root, np.ones(rows.shape[0]))
         return out
-
-    def predict_distribution(self, x) -> np.ndarray:
-        if isinstance(x, Instance):
-            x = x.values
-        return self.predict_distribution_batch(x)[0]
-
-    def predict_class_batch(self, rows) -> np.ndarray:
-        return np.argmax(self.predict_distribution_batch(rows), axis=1)
-
-    def predict_class(self, x) -> int:
-        if isinstance(x, Instance):
-            x = x.values
-        return int(self.predict_class_batch(x)[0])
 
     # -- inspection ----------------------------------------------------
 
@@ -231,10 +237,3 @@ def _node_model(node_data: Dataset, decision: SplitDecision, learner, subset):
     except NDError as exc:
         raise TrainingError(subset, exc) from exc
 
-
-def predict_distribution(nd: NestedDichotomy, x) -> np.ndarray:
-    return nd.predict_distribution(x)
-
-
-def predict_class(nd: NestedDichotomy, x) -> int:
-    return nd.predict_class(x)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Instance, bootstrap_sample, weighted_resample
+from .data import Dataset, bootstrap_sample, weighted_resample
 from .errors import AllMembersRejected
-from .dichotomy import NestedDichotomy, build_nd
+from .dichotomy import MultiClassModel, NestedDichotomy, build_nd
 from .learners import LearnerParams
 from .seeds import child_seed, rng_from
 from .selection import SubsetSelector
@@ -34,25 +34,8 @@ from .selection import SubsetSelector
 ZERO_ERROR_VOTE = math.log(1e10)
 
 
-@dataclass
-class BoostState:
-    """Mutable state of a boosting run: the per-instance weight vector
-    (kept normalized to sum n after every update), the attempt counter,
-    and the member counts that end a sub-committee (empty for AdaBoost)."""
-
-    weights: np.ndarray
-    iteration: int
-    boundaries: frozenset[int]
-
-    def renormalize(self):
-        self.weights *= self.weights.size / self.weights.sum()
-
-    def reset_uniform(self):
-        self.weights = np.ones(self.weights.size)
-
-
 @dataclass(frozen=True)
-class EnsembleModel:
+class EnsembleModel(MultiClassModel):
     members: tuple[NestedDichotomy, ...]
     member_weights: np.ndarray
     combiner: str  # average_distribution | weighted_vote
@@ -89,19 +72,6 @@ class EnsembleModel:
             votes[np.arange(rows.shape[0]), picks] += wm
         return votes / w.sum()
 
-    def predict_distribution(self, x) -> np.ndarray:
-        if isinstance(x, Instance):
-            x = x.values
-        return self.predict_distribution_batch(x)[0]
-
-    def predict_class_batch(self, rows) -> np.ndarray:
-        return np.argmax(self.predict_distribution_batch(rows), axis=1)
-
-    def predict_class(self, x) -> int:
-        if isinstance(x, Instance):
-            x = x.values
-        return int(self.predict_class_batch(x)[0])
-
     def to_text(self) -> str:
         lines = [
             f"ensemble {self.ensemble_kind} combiner={self.combiner} "
@@ -111,12 +81,6 @@ class EnsembleModel:
             lines.append(f"member {i} weight={w!r} seed={member.build_seed}")
             lines.append(member.to_text().rstrip("\n"))
         return "\n".join(lines) + "\n"
-
-
-def ensemble_predict(e: EnsembleModel, x):
-    """Per-class distribution and its argmax (ties to the lowest index)."""
-    dist = e.predict_distribution(x)
-    return dist, int(np.argmax(dist))
 
 
 def build_random_ensemble(
@@ -182,7 +146,7 @@ def _boosted(
     y = d.class_indices()
     base_w = d.weights  # dataset weights stay fixed; boosting keeps its own
 
-    state = BoostState(np.ones(n), 0, wag_boundaries)
+    weights = np.ones(n)  # boosting weights, renormalized to sum n
     members: list[NestedDichotomy] = []
     votes: list[float] = []
     max_attempts = 2 * size
@@ -190,35 +154,31 @@ def _boosted(
     for attempt in range(max_attempts):
         if len(members) >= size:
             break
-        state.iteration = attempt
-        sample = weighted_resample(
-            d, state.weights * base_w, n, child_seed(seed, attempt, 1)
-        )
+        sample = weighted_resample(d, weights * base_w, n, child_seed(seed, attempt, 1))
         member = build_nd(
             sample, strategy, learner, child_seed(seed, attempt, 0), class_ids=class_ids
         )
         predicted = member.predict_class_batch(d.values)
         mis = predicted != y
-        eff = base_w * state.weights
+        eff = base_w * weights
         error = float(eff[mis].sum() / eff.sum())
 
         if error >= 0.5:
-            state.reset_uniform()
+            weights = np.ones(n)
             continue
         if error == 0.0:
             members.append(member)
             votes.append(ZERO_ERROR_VOTE)
-            state.reset_uniform()
+            weights = np.ones(n)
             continue
         members.append(member)
         votes.append(math.log((1.0 - error) / error))
-        state.weights = state.weights.copy()
-        state.weights[mis] *= (1.0 - error) / error
-        state.renormalize()
+        weights[mis] *= (1.0 - error) / error
+        weights *= n / weights.sum()
         if observer is not None:
-            observer(member, error, state.weights.copy())
-        if len(members) in state.boundaries:
-            state.weights = _wagging_weights(n, rng_from(seed, len(members), 2))
+            observer(member, error, weights.copy())
+        if len(members) in wag_boundaries:
+            weights = _wagging_weights(n, rng_from(seed, len(members), 2))
 
     if not members:
         raise AllMembersRejected(

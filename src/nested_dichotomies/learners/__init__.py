@@ -20,16 +20,6 @@ def fit_binary_model(d: Dataset, params: LearnerParams) -> BinaryModel:
     raise TypeError(f"unknown learner params: {type(params).__name__}")
 
 
-def predict_prob(model: BinaryModel, x) -> float:
-    """P(first class | x); the complement is the second class's share."""
-    return model.predict_prob(x)
-
-
-def model_to_text(model: BinaryModel) -> str:
-    """Line-oriented dump of a fitted model for inspection and golden tests."""
-    return "\n".join(model.to_lines()) + "\n"
-
-
 __all__ = [
     "BinaryModel",
     "CentroidModel",
@@ -45,6 +35,4 @@ __all__ = [
     "fit_centroids",
     "fit_logistic",
     "fit_tree",
-    "model_to_text",
-    "predict_prob",
 ]

@@ -32,20 +32,31 @@ class CentroidModel:
         return int(self.predict_batch(x)[0])
 
 
-def fit_centroids(d: Dataset) -> CentroidModel:
-    """Weighted per-class mean vectors; every declared class must be
-    present."""
+def class_means(d: Dataset, class_ids) -> tuple[FeatureEncoder, dict[int, np.ndarray]]:
+    """The encoder of ``d`` and the weighted mean encoded row of each class
+    in ``class_ids`` that has instances in ``d``; classes without
+    instances are left out."""
     encoder = FeatureEncoder(d.attributes, d.class_attribute)
     X = encoder.encode(d.values)
     y = d.class_indices()
     w = d.weights
-    centroids = []
-    for c in range(d.n_classes):
+    means = {}
+    for c in class_ids:
         mask = y == c
         total = w[mask].sum()
-        if total <= 0:
+        if total > 0:
+            means[c] = (w[mask] @ X[mask]) / total
+    return encoder, means
+
+
+def fit_centroids(d: Dataset) -> CentroidModel:
+    """Weighted per-class mean vectors; every declared class must be
+    present."""
+    encoder, means = class_means(d, range(d.n_classes))
+    for c in range(d.n_classes):
+        if c not in means:
             raise EmptyClass(f"class {d.class_names[c]!r} has no instances")
-        centroids.append((w[mask] @ X[mask]) / total)
+    centroids = [means[c] for c in range(d.n_classes)]
     return CentroidModel(centroids, range(d.n_classes), encoder, d.n_classes)
 
 

@@ -41,22 +41,37 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
+def _ridge_vector(ridge, size: int) -> np.ndarray:
+    """Per-coefficient penalty: a scalar ridge applies to every weight
+    and not to the intercept; a vector is used as given."""
+    if np.ndim(ridge):
+        return ridge
+    out = np.full(size, float(ridge))
+    out[0] = 0.0
+    return out
+
+
 def penalized_nll(beta, X, target, sample_weights, ridge) -> float:
-    """Objective value; ``beta[0]`` is the (unpenalized) intercept."""
+    """Objective value; ``beta[0]`` is the (unpenalized) intercept.
+
+    ``ridge`` is a scalar, or a per-coefficient vector whose intercept
+    entry is 0."""
+    ridge = _ridge_vector(ridge, beta.size)
     z = X @ beta[1:] + beta[0]
     # -t log p - (1-t) log(1-p) == (1-t) z + log(1 + e^-z), stable form
     losses = (1.0 - target) * z + np.logaddexp(0.0, -z)
-    return float(sample_weights @ losses + 0.5 * ridge * (beta[1:] @ beta[1:]))
+    return float(sample_weights @ losses + 0.5 * (ridge @ (beta * beta)))
 
 
 def penalized_nll_grad(beta, X, target, sample_weights, ridge) -> np.ndarray:
     """Analytic gradient of :func:`penalized_nll` in ``beta``."""
+    ridge = _ridge_vector(ridge, beta.size)
     z = X @ beta[1:] + beta[0]
     r = sample_weights * (_sigmoid(z) - target)
     g = np.empty_like(beta)
     g[0] = r.sum()
-    g[1:] = X.T @ r + ridge * beta[1:]
-    return g
+    g[1:] = X.T @ r
+    return g + ridge * beta
 
 
 class LogisticModel(BinaryModel):
@@ -116,25 +131,12 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
     # ridge on original-basis weights w = ws / scale
     ridge_diag = np.concatenate(([0.0], params.ridge / scale**2))
 
-    def objective(b):
-        z = X @ b[1:] + b[0]
-        losses = (1.0 - target) * z + np.logaddexp(0.0, -z)
-        return float(m @ losses + 0.5 * (ridge_diag @ (b * b)))
-
-    def gradient(b):
-        z = X @ b[1:] + b[0]
-        r = m * (_sigmoid(z) - target)
-        g = np.empty_like(b)
-        g[0] = r.sum()
-        g[1:] = X.T @ r
-        return g + ridge_diag * b
-
-    obj = objective(beta)
+    obj = penalized_nll(beta, X, target, m, ridge_diag)
     iterations = 0
     converged = False
     stationary_streak = 0
     for iterations in range(1, params.max_iterations + 1):
-        g = gradient(beta)
+        g = penalized_nll_grad(beta, X, target, m, ridge_diag)
         if np.max(np.abs(g)) <= params.gradient_tolerance:
             converged = True
             iterations -= 1
@@ -156,7 +158,7 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = beta + alpha * step
-            cand_obj = objective(cand)
+            cand_obj = penalized_nll(cand, X, target, m, ridge_diag)
             if cand_obj < obj:
                 break
             alpha *= 0.5
@@ -177,7 +179,8 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
             converged = True
             break
     else:
-        converged = np.max(np.abs(gradient(beta))) <= params.gradient_tolerance
+        g = penalized_nll_grad(beta, X, target, m, ridge_diag)
+        converged = np.max(np.abs(g)) <= params.gradient_tolerance
 
     weights = beta[1:] / scale
     intercept = beta[0] - float(weights @ mu)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyClass
-from .learners import FeatureEncoder, LearnerParams, fit_binary_model
+from .learners import LearnerParams, fit_binary_model
+from .learners.centroid import class_means
 from .seeds import rng_from
 
 
@@ -83,19 +84,6 @@ def select_class_balanced(class_ids, rng: np.random.Generator) -> SplitDecision:
     return SplitDecision(perm[:cut], perm[cut:])
 
 
-def _node_centroids(class_ids, d: Dataset):
-    encoder = FeatureEncoder(d.attributes, d.class_attribute)
-    X = encoder.encode(d.values)
-    y = d.class_indices()
-    centroids = {}
-    for c in class_ids:
-        mask = y == c
-        total = d.weights[mask].sum()
-        if total > 0:
-            centroids[c] = (d.weights[mask] @ X[mask]) / total
-    return centroids
-
-
 def select_centroid(class_ids, d: Dataset) -> SplitDecision:
     """Deterministic split seeded by the furthest pair of class centroids.
 
@@ -109,7 +97,7 @@ def select_centroid(class_ids, d: Dataset) -> SplitDecision:
         raise ValueError("need at least 2 classes to split")
     if len(ids) == 2:
         return SplitDecision([ids[0]], [ids[1]])
-    centroids = _node_centroids(ids, d)
+    _, centroids = class_means(d, ids)
     present = sorted(centroids)
     if len(present) < 2:
         raise EmptyClass(

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nested_dichotomies.data import AttributeSpec, Dataset, parse_arff
 
@@ -53,6 +54,20 @@ def simple_dataset(xs, labels, class_names=("a", "b")) -> Dataset:
     values = np.column_stack([np.asarray(xs, dtype=float), np.asarray(labels, float)])
     attrs = [AttributeSpec("x"), AttributeSpec("class", tuple(class_names))]
     return Dataset(attrs, values, class_attribute=1)
+
+
+@st.composite
+def small_datasets(draw, class_ids, n_classes: int) -> Dataset:
+    """1-5 rows of each class in ``class_ids`` (out of ``n_classes``
+    declared labels) over two numeric attributes of small integers, so
+    that tied values and duplicate rows are common."""
+    labels = [c for c in class_ids for _ in range(draw(st.integers(1, 5)))]
+    n = len(labels)
+    cells = draw(st.lists(st.integers(-3, 3), min_size=2 * n, max_size=2 * n))
+    values = np.column_stack([np.reshape(cells, (n, 2)), labels]).astype(float)
+    attrs = [AttributeSpec("x0"), AttributeSpec("x1")]
+    attrs.append(AttributeSpec("class", tuple(f"c{i}" for i in range(n_classes))))
+    return Dataset(attrs, values, class_attribute=2)
 
 
 @pytest.fixture(scope="session")

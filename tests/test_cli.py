@@ -186,6 +186,48 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        ("method = name=capped strategy=random_pair learner=tree cap=0", []),
+        ("subsample_cap = 0", []),
+        ("jobs = 0", []),
+        ("", ["--jobs", "-1"]),
+    ],
+    ids=["method-cap", "subsample_cap", "jobs", "jobs-flag"],
+)
+def test_cli_value_below_one_exit_two(tiny_dataset_file, tmp_path, capsys, extra, flags):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_text(tiny_dataset_file, tmp_path / "out", extra))
+    assert main(["evaluate", "--config", str(cfg), *flags]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+NON_FINITE_ARFF = (
+    "@relation r\n@attribute x numeric\n@attribute c {a,b}\n@data\ninf,a\n1,b\n2,a\n"
+)
+
+
+def test_cli_train_non_finite_value_exit_one(tmp_path, capsys):
+    path = tmp_path / "inf.arff"
+    path.write_text(NON_FINITE_ARFF)
+    assert main(["train", "--data", str(path), "--method", "name=m"]) == 1
+    assert capsys.readouterr().err == "error: line 5: non-finite value for attribute 'x'\n"
+
+
+def test_non_finite_dataset_is_a_dataset_failure(tiny_dataset_file, tmp_path):
+    bad = tmp_path / "bad.arff"
+    bad.write_text(NON_FINITE_ARFF)
+    out = tmp_path / "out"
+    text = config_text(tiny_dataset_file, out).replace("k = 2", f"dataset = {bad}\nk = 2")
+    report = run_experiment(parse_config(text))
+    assert report.exit_code == 1
+    assert report.failures == ["bad: line 5: non-finite value for attribute 'x'"]
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["tiny", "rpnd"], ["tiny", "nd"]]
+
+
 def test_cli_evaluate_end_to_end(tiny_dataset_file, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(config_text(tiny_dataset_file, tmp_path / "out"))

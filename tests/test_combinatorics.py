@@ -8,7 +8,6 @@ from nested_dichotomies.combinatorics import (
     count_full,
     enumerate_splits,
     estimate_random_pair_count,
-    estimate_random_pair_count_rounded,
     measure_subset_proportions,
     p_fit,
     space_table,
@@ -75,11 +74,6 @@ def test_estimate_within_quarter_of_published():
 def test_estimate_monotone():
     values = [estimate_random_pair_count(c) for c in range(2, 13)]
     assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-def test_rounded_estimate():
-    assert estimate_random_pair_count_rounded(2) == 1
-    assert estimate_random_pair_count_rounded(5) == round(estimate_random_pair_count(5))
 
 
 def test_space_table_shape():

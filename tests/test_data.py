@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -88,6 +88,23 @@ def test_parse_arff_bad_row_reports_line():
     with pytest.raises(ParseError) as err:
         parse_arff(text)
     assert err.value.line == 6
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "NaN", "'Infinity'"])
+def test_parse_arff_non_finite_value_reports_line(token):
+    # quoted tokens take the slow row path, the others the plain split
+    header = "@relation r\n@attribute x numeric\n@attribute c {a,b}\n@data\n1,a\n"
+    text = header + f"{token},b\n"
+    with pytest.raises(ParseError) as err:
+        parse_arff(text)
+    assert err.value.line == 6
+    assert "'x'" in str(err.value)
+
+
+def test_parse_csv_non_finite_value_reports_line():
+    with pytest.raises(ParseError) as err:
+        parse_csv("x,label\n1,a\n2,b\nnan,a\n", class_column=1, header=True)
+    assert err.value.line == 4
 
 
 def test_parse_arff_undeclared_nominal_value():
@@ -311,11 +328,24 @@ def test_folds_zoo_sizes():
         assert sum(sizes) == 101
 
 
-def test_folds_partition_and_stratification():
-    d = load_uci("glass")
-    plan = stratified_folds(d, 5, 2, 21)
+@settings(max_examples=150, deadline=None)
+@example(labels=None, k=5, repeats=2, seed=21)  # None stands for glass
+@given(
+    labels=st.lists(st.integers(0, 4), min_size=2, max_size=80),
+    k=st.integers(2, 10),
+    repeats=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folds_partition_and_stratification(labels, k, repeats, seed):
+    if labels is None:
+        d = load_uci("glass")
+    else:
+        values = np.column_stack([np.zeros(len(labels)), labels])
+        d = Dataset([AttributeSpec("x"), AttributeSpec("c", tuple("abcde"))], values, 1)
+    assume(k <= d.n_instances)
+    plan = stratified_folds(d, k, repeats, seed)
     y = d.class_indices()
-    ideal = np.bincount(y, minlength=d.n_classes) / 5
+    ideal = np.bincount(y, minlength=d.n_classes) / k
     for rep in plan.assignments:
         combined = np.concatenate(rep)
         assert len(combined) == d.n_instances

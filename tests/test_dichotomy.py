@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import gaussian_dataset
+from conftest import gaussian_dataset, small_datasets
 from nested_dichotomies.data import AttributeSpec, Dataset, bootstrap_sample
 from nested_dichotomies.dichotomy import NDNode, NestedDichotomy, build_nd
 from nested_dichotomies.errors import NDError
 from nested_dichotomies.learners import LogisticParams, TreeParams
-from nested_dichotomies.selection import SubsetSelector
+from nested_dichotomies.selection import STRATEGIES, SubsetSelector
 
 
 class StubModel:
@@ -139,6 +141,28 @@ def test_distribution_sums_to_one_and_matches_brute_force():
         dist = nd.predict_distribution(np.zeros(4))
         assert abs(dist.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(dist, brute_force_distribution(root, c), atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    strategy=st.sampled_from(STRATEGIES),
+    tree=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_built_tree_distributions_are_probability_vectors(data, strategy, tree, seed):
+    n_classes = data.draw(st.integers(2, 6))
+    # some declared classes may have no rows: their nodes get constant models
+    present = sorted(data.draw(st.sets(st.integers(0, n_classes - 1), min_size=2)))
+    d = data.draw(small_datasets(present, n_classes))
+    learner = TreeParams(min_instances_per_leaf=1) if tree else LogisticParams()
+    nd = build_nd(d, SubsetSelector(strategy), learner, seed, class_ids=range(n_classes))
+    cells = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40))
+    rows = np.zeros((len(cells) // 2, 3))
+    rows[:, :2] = np.reshape(cells[: 2 * len(rows)], (-1, 2))
+    dists = nd.predict_distribution_batch(np.vstack([d.values, rows]))
+    assert np.all(dists >= 0.0)
+    assert np.all(np.abs(dists.sum(axis=1) - 1.0) <= 1e-12)
 
 
 def test_predict_class_is_argmax_with_low_tie():

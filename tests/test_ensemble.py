@@ -12,7 +12,6 @@ from nested_dichotomies.ensemble import (
     build_bagged_ensemble,
     build_multiboost_ensemble,
     build_random_ensemble,
-    ensemble_predict,
     multiboost_boundaries,
     _wagging_weights,
 )
@@ -225,7 +224,7 @@ def test_average_combiner_opposite_members():
     e = EnsembleModel(
         (stub_nd(1.0), stub_nd(0.0)), np.ones(2), "average_distribution", "random"
     )
-    dist, picked = ensemble_predict(e, np.zeros(1))
+    dist, picked = e.predict_distribution(np.zeros(1)), e.predict_class(np.zeros(1))
     np.testing.assert_allclose(dist, [0.5, 0.5])
     assert picked == 0  # tie goes to the lowest class index
 
@@ -234,7 +233,7 @@ def test_weighted_vote_majority_by_weight():
     e = EnsembleModel(
         (stub_nd(1.0), stub_nd(0.0)), np.array([2.0, 1.0]), "weighted_vote", "adaboost"
     )
-    dist, picked = ensemble_predict(e, np.zeros(1))
+    dist, picked = e.predict_distribution(np.zeros(1)), e.predict_class(np.zeros(1))
     np.testing.assert_allclose(dist, [2 / 3, 1 / 3])
     assert picked == 0
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import gaussian_dataset, simple_dataset
 from nested_dichotomies.data import AttributeSpec, Dataset
 from nested_dichotomies.errors import DidNotConverge, EncodingMismatch, SingleClass
-from nested_dichotomies.learners import LogisticParams, fit_logistic, predict_prob
+from nested_dichotomies.learners import LogisticParams, fit_logistic
 from nested_dichotomies.learners.logistic import penalized_nll, penalized_nll_grad
 
 
@@ -32,9 +32,12 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     for _ in range(20):
         beta, X, t, w, ridge = random_problem(rng)
-        analytic = penalized_nll_grad(beta, X, t, w, ridge)
-        numeric = finite_diff_grad(beta, X, t, w, ridge)
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
+        # the optimizer passes one penalty per coefficient, intercept 0
+        per_coef = np.concatenate(([0.0], rng.uniform(0.0, 0.1, beta.size - 1)))
+        for r in (ridge, per_coef):
+            analytic = penalized_nll_grad(beta, X, t, w, r)
+            numeric = finite_diff_grad(beta, X, t, w, r)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 
 def test_separable_probabilities():
@@ -145,9 +148,3 @@ def test_probabilities_complement_exactly():
     p = m.predict_prob(d.instance(3))
     assert 0.0 <= p <= 1.0
     assert p + (1.0 - p) == 1.0
-
-
-def test_predict_prob_module_function():
-    d = simple_dataset([0.0, 1.0], [0, 1])
-    m = fit_logistic(d)
-    assert predict_prob(m, d.instance(0)) == m.predict_prob(d.instance(0))

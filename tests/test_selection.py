@@ -2,12 +2,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import gaussian_dataset
+from conftest import gaussian_dataset, small_datasets
 from nested_dichotomies.data import AttributeSpec, Dataset
 from nested_dichotomies.errors import EmptyClass
 from nested_dichotomies.learners import LogisticParams, TreeParams
 from nested_dichotomies.selection import (
+    STRATEGIES,
     SplitDecision,
     SubsetSelector,
     assign_by_pair,
@@ -228,3 +231,25 @@ def test_selector_dispatch():
         assert is_partition(decision, [0, 1, 2, 3])
     with pytest.raises(ValueError):
         SubsetSelector("nope")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    strategy=st.sampled_from(STRATEGIES),
+    tree=st.booleans(),
+    cap=st.none() | st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_returns_partition_of_class_set(data, strategy, tree, cap, seed):
+    n_classes = data.draw(st.integers(2, 6))
+    subset = sorted(data.draw(st.sets(st.integers(0, n_classes - 1), min_size=2)))
+    # the node data may lack some of the subset's classes (as after a
+    # bootstrap), but build_nd only selects when two of them have rows
+    present = sorted(data.draw(st.sets(st.sampled_from(subset), min_size=2)))
+    d = data.draw(small_datasets(present, n_classes))
+    learner = TreeParams(min_instances_per_leaf=1) if tree else LogisticParams()
+    decision = SubsetSelector(strategy, cap).select(
+        subset, d, learner, np.random.default_rng(seed)
+    )
+    assert is_partition(decision, subset)
