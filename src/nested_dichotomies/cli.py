@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -126,6 +127,17 @@ class MethodSpec:
         return builder
 
 
+class InvalidConfigValue(ValueError):
+    """A failed :class:`ExperimentConfig` check.  ``key`` is the config key
+    that set the value; ``method`` is the index of the offending method
+    when the value belongs to one."""
+
+    def __init__(self, message: str, key: str, method: int | None = None):
+        super().__init__(message)
+        self.key = key
+        self.method = method
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     datasets: tuple[DatasetRef, ...]
@@ -144,16 +156,21 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("at least one method required")
         names = [m.name for m in self.methods]
-        if len(set(names)) != len(names):
-            raise ValueError("method names must be unique")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise InvalidConfigValue(
+                    f"method names must be unique: {name!r} repeats", "method", i
+                )
         ref = self.reference or names[0]
         if ref not in names:
-            raise ValueError(f"reference method {ref!r} not in the method list")
+            raise InvalidConfigValue(
+                f"reference method {ref!r} not in the method list", "reference"
+            )
         object.__setattr__(self, "reference", ref)
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise InvalidConfigValue("jobs must be >= 1", "jobs")
         if self.subsample_cap is not None and self.subsample_cap < 1:
-            raise ValueError("subsample_cap must be >= 1")
+            raise InvalidConfigValue("subsample_cap must be >= 1", "subsample_cap")
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +178,10 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+
+# a comment starts at a '#' that opens the line or follows whitespace, so
+# that a '#' inside a path or a token is kept
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _parse_bool(value: str, lineno: int) -> bool:
@@ -228,9 +249,10 @@ def parse_config(text: str) -> ExperimentConfig:
     methods: list[MethodSpec] = []
     scalars: dict[str, str] = {}
     scalar_lines: dict[str, int] = {}
+    method_lines: list[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -258,6 +280,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(lineno, str(exc)) from None
         elif key == "method":
             methods.append(_method_from_tokens(_parse_tokens(value, lineno), lineno))
+            method_lines.append(lineno)
         else:
             scalars[key] = value
             scalar_lines[key] = lineno
@@ -288,6 +311,12 @@ def parse_config(text: str) -> ExperimentConfig:
             jobs=scalar_int("jobs", 1),
             subsample_cap=scalar_int("subsample_cap", None),
         )
+    except InvalidConfigValue as exc:
+        if exc.method is not None:
+            line = method_lines[exc.method]
+        else:
+            line = scalar_lines.get(exc.key, 0)
+        raise ConfigError(line, str(exc)) from None
     except ValueError as exc:
         raise ConfigError(0, str(exc)) from None
 
@@ -554,6 +583,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "cap", None) is not None and args.cap < 1:
+            raise ConfigError(0, "--cap must be >= 1")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

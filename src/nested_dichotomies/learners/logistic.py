@@ -38,7 +38,8 @@ class LogisticParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    # np.clip's values, without its Python-level dispatch
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
 
 
 def _ridge_vector(ridge, size: int) -> np.ndarray:
@@ -51,27 +52,42 @@ def _ridge_vector(ridge, size: int) -> np.ndarray:
     return out
 
 
+def _linear(beta, X) -> np.ndarray:
+    return X @ beta[1:] + beta[0]
+
+
+def _nll_at(z, beta, target, sample_weights, ridge) -> float:
+    """:func:`penalized_nll` given the linear predictor ``z`` of ``beta``
+    and the per-coefficient ``ridge`` vector."""
+    # -t log p - (1-t) log(1-p) == (1-t) z + log(1 + e^-z), stable form
+    losses = (1.0 - target) * z + np.logaddexp(0.0, -z)
+    return float(sample_weights @ losses + 0.5 * (ridge @ (beta * beta)))
+
+
+def _grad_at(p, beta, X, target, sample_weights, ridge) -> np.ndarray:
+    """:func:`penalized_nll_grad` given the probabilities
+    ``p = sigmoid(z)`` of ``beta`` and the per-coefficient ``ridge``."""
+    r = sample_weights * (p - target)
+    g = np.empty_like(beta)
+    g[0] = r.sum()
+    g[1:] = X.T @ r
+    return g + ridge * beta
+
+
 def penalized_nll(beta, X, target, sample_weights, ridge) -> float:
     """Objective value; ``beta[0]`` is the (unpenalized) intercept.
 
     ``ridge`` is a scalar, or a per-coefficient vector whose intercept
     entry is 0."""
     ridge = _ridge_vector(ridge, beta.size)
-    z = X @ beta[1:] + beta[0]
-    # -t log p - (1-t) log(1-p) == (1-t) z + log(1 + e^-z), stable form
-    losses = (1.0 - target) * z + np.logaddexp(0.0, -z)
-    return float(sample_weights @ losses + 0.5 * (ridge @ (beta * beta)))
+    return _nll_at(_linear(beta, X), beta, target, sample_weights, ridge)
 
 
 def penalized_nll_grad(beta, X, target, sample_weights, ridge) -> np.ndarray:
     """Analytic gradient of :func:`penalized_nll` in ``beta``."""
     ridge = _ridge_vector(ridge, beta.size)
-    z = X @ beta[1:] + beta[0]
-    r = sample_weights * (_sigmoid(z) - target)
-    g = np.empty_like(beta)
-    g[0] = r.sum()
-    g[1:] = X.T @ r
-    return g + ridge * beta
+    p = _sigmoid(_linear(beta, X))
+    return _grad_at(p, beta, X, target, sample_weights, ridge)
 
 
 class LogisticModel(BinaryModel):
@@ -131,25 +147,29 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
     # ridge on original-basis weights w = ws / scale
     ridge_diag = np.concatenate(([0.0], params.ridge / scale**2))
 
-    obj = penalized_nll(beta, X, target, m, ridge_diag)
+    # One linear predictor and one sigmoid per iterate: the accepted line
+    # search candidate's z is the next iterate's, and its p feeds both the
+    # gradient and the Hessian weights.
+    diag = np.diag_indices(p_dim)
+    z = _linear(beta, X)
+    obj = _nll_at(z, beta, target, m, ridge_diag)
     iterations = 0
     converged = False
     stationary_streak = 0
     for iterations in range(1, params.max_iterations + 1):
-        g = penalized_nll_grad(beta, X, target, m, ridge_diag)
-        if np.max(np.abs(g)) <= params.gradient_tolerance:
+        p = _sigmoid(z)
+        g = _grad_at(p, beta, X, target, m, ridge_diag)
+        if np.abs(g).max() <= params.gradient_tolerance:
             converged = True
             iterations -= 1
             break
-        z = X @ beta[1:] + beta[0]
-        p = _sigmoid(z)
         curv = m * np.maximum(p * (1.0 - p), 1e-12)
         Xc = X * curv[:, None]
         hess = np.empty((p_dim, p_dim))
         hess[0, 0] = curv.sum()
         hess[0, 1:] = hess[1:, 0] = Xc.sum(axis=0)
         hess[1:, 1:] = X.T @ Xc
-        hess[np.diag_indices_from(hess)] += ridge_diag
+        hess[diag] += ridge_diag
         try:
             step = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:
@@ -158,7 +178,8 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = beta + alpha * step
-            cand_obj = penalized_nll(cand, X, target, m, ridge_diag)
+            cand_z = _linear(cand, X)
+            cand_obj = _nll_at(cand_z, cand, target, m, ridge_diag)
             if cand_obj < obj:
                 break
             alpha *= 0.5
@@ -172,15 +193,15 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
             stationary_streak += 1
         else:
             stationary_streak = 0
-        beta, obj = cand, cand_obj
+        beta, z, obj = cand, cand_z, cand_obj
         if stationary_streak >= 3:
             # three consecutive float-resolution decreases: numerically
             # stationary (quasi-separable data crawls here forever)
             converged = True
             break
     else:
-        g = penalized_nll_grad(beta, X, target, m, ridge_diag)
-        converged = np.max(np.abs(g)) <= params.gradient_tolerance
+        g = _grad_at(_sigmoid(z), beta, X, target, m, ridge_diag)
+        converged = np.abs(g).max() <= params.gradient_tolerance
 
     weights = beta[1:] / scale
     intercept = beta[0] - float(weights @ mu)

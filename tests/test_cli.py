@@ -187,21 +187,69 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra, flags",
+    "command, extra, flags",
     [
-        ("method = name=capped strategy=random_pair learner=tree cap=0", []),
-        ("subsample_cap = 0", []),
-        ("jobs = 0", []),
-        ("", ["--jobs", "-1"]),
+        ("evaluate", "method = name=capped strategy=random_pair learner=tree cap=0", []),
+        ("evaluate", "subsample_cap = 0", []),
+        ("evaluate", "jobs = 0", []),
+        ("evaluate", "", ["--jobs", "-1"]),
+        ("inspect", "", ["--cap", "0"]),
+        ("train", "", ["--method", "name=m", "--cap", "0"]),
+        ("splits", "", ["--cap", "0"]),
+        ("proportions", "", ["--cap", "-3"]),
     ],
-    ids=["method-cap", "subsample_cap", "jobs", "jobs-flag"],
+    ids=[
+        "method-cap", "subsample_cap", "jobs", "jobs-flag",
+        "inspect-cap", "train-cap", "splits-cap", "proportions-cap",
+    ],
 )
-def test_cli_value_below_one_exit_two(tiny_dataset_file, tmp_path, capsys, extra, flags):
+def test_cli_value_below_one_exit_two(
+    tiny_dataset_file, tmp_path, capsys, command, extra, flags
+):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(config_text(tiny_dataset_file, tmp_path / "out", extra))
-    assert main(["evaluate", "--config", str(cfg), *flags]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    if command == "evaluate":
+        source = ["--config", str(cfg)]
+    else:
+        source = ["--data", str(tiny_dataset_file)]
+    assert main([command, *source, *flags]) == 2
+    captured = capsys.readouterr()
+    assert "must be >= 1" in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "jobs = 0",
+        "subsample_cap = 0",
+        "reference = missing",
+        "method = name=nd strategy=random learner=logistic",  # repeats "nd"
+    ],
+    ids=["jobs", "subsample_cap", "reference", "duplicate-method"],
+)
+def test_config_value_error_reports_its_line(tiny_dataset_file, tmp_path, extra):
+    text = config_text(tiny_dataset_file, tmp_path / "out", extra)
+    line = text.splitlines().index(extra) + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"config line {line}: ")
+
+
+def test_hash_inside_dataset_path_is_not_a_comment(tmp_path):
+    data_dir = tmp_path / "a#b"
+    data_dir.mkdir()
+    data = data_dir / "tiny.csv"
+    data.write_text(TINY_CSV)
+    out = tmp_path / "out"
+    cfg = parse_config(config_text(data, out, "jobs = 2  # a comment\n#k = 3"))
+    assert cfg.datasets[0].path == str(data)
+    assert (cfg.jobs, cfg.k) == (2, 2)
+    report = run_experiment(cfg)
+    assert report.exit_code == 0 and report.failures == []
+    assert (out / "results.csv").read_text().splitlines()[1].startswith("tiny,rpnd,")
 
 
 NON_FINITE_ARFF = (

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gaussian_dataset, simple_dataset
 from nested_dichotomies.data import AttributeSpec, Dataset
 from nested_dichotomies.errors import DidNotConverge, EncodingMismatch, SingleClass
 from nested_dichotomies.learners import LogisticParams, fit_logistic
-from nested_dichotomies.learners.logistic import penalized_nll, penalized_nll_grad
+from nested_dichotomies.learners.base import FeatureEncoder, binary_class_info
+from nested_dichotomies.learners.logistic import (
+    _sigmoid,
+    penalized_nll,
+    penalized_nll_grad,
+)
 
 
 def random_problem(rng, n=5, p=10, ridge=1e-3):
@@ -148,3 +155,191 @@ def test_probabilities_complement_exactly():
     p = m.predict_prob(d.instance(3))
     assert 0.0 <= p <= 1.0
     assert p + (1.0 - p) == 1.0
+
+
+def test_sigmoid_clamps_like_clip():
+    z = np.array([-np.inf, -1e300, -500.5, -500.0, -499.9, -1.0, -0.0, 0.0,
+                  1e-300, 3.5, 499.9, 500.0, 500.5, 1e300, np.inf, np.nan])
+    want = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    assert _sigmoid(z).tobytes() == want.tobytes()
+
+
+# -- oracle: the two-pass Newton loop -----------------------------------------
+#
+# ``_ref_fit`` is the direct IRLS: every iterate recomputes ``X @ beta`` and
+# the sigmoid separately for the objective, the gradient and the Hessian,
+# with the objective and gradient written out in full.  The single-pass
+# loop reuses the accepted line-search candidate's linear predictor and
+# must give the same fit, bit for bit.
+
+
+def _ref_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
+def _ref_nll(beta, X, target, m, ridge):
+    z = X @ beta[1:] + beta[0]
+    losses = (1.0 - target) * z + np.logaddexp(0.0, -z)
+    return float(m @ losses + 0.5 * (ridge @ (beta * beta)))
+
+
+def _ref_grad(beta, X, target, m, ridge):
+    z = X @ beta[1:] + beta[0]
+    r = m * (_ref_sigmoid(z) - target)
+    g = np.empty_like(beta)
+    g[0] = r.sum()
+    g[1:] = X.T @ r
+    return g + ridge * beta
+
+
+def _ref_fit(d, params):
+    """(weights, intercept, iterations, converged) of the two-pass loop."""
+    _, _, target = binary_class_info(d)
+    raw = FeatureEncoder(d.attributes, d.class_attribute).encode(d.values)
+    m = d.weights
+    total = m.sum()
+    mu = (m @ raw) / total
+    var = (m @ (raw - mu) ** 2) / total
+    scale = np.sqrt(var)
+    scale[scale <= 0] = 1.0
+    X = (raw - mu) / scale
+    p_dim = X.shape[1] + 1
+    beta = np.zeros(p_dim)
+    ridge_diag = np.concatenate(([0.0], params.ridge / scale**2))
+
+    obj = _ref_nll(beta, X, target, m, ridge_diag)
+    iterations = 0
+    converged = False
+    stationary_streak = 0
+    for iterations in range(1, params.max_iterations + 1):
+        g = _ref_grad(beta, X, target, m, ridge_diag)
+        if np.max(np.abs(g)) <= params.gradient_tolerance:
+            converged = True
+            iterations -= 1
+            break
+        z = X @ beta[1:] + beta[0]
+        p = _ref_sigmoid(z)
+        curv = m * np.maximum(p * (1.0 - p), 1e-12)
+        Xc = X * curv[:, None]
+        hess = np.empty((p_dim, p_dim))
+        hess[0, 0] = curv.sum()
+        hess[0, 1:] = hess[1:, 0] = Xc.sum(axis=0)
+        hess[1:, 1:] = X.T @ Xc
+        hess[np.diag_indices_from(hess)] += ridge_diag
+        try:
+            step = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, -g, rcond=None)[0]
+        alpha = 1.0
+        for _ in range(50):
+            cand = beta + alpha * step
+            cand_obj = _ref_nll(cand, X, target, m, ridge_diag)
+            if cand_obj < obj:
+                break
+            alpha *= 0.5
+        else:
+            converged = True
+            break
+        if obj - cand_obj <= 1e-13 * (1.0 + abs(cand_obj)):
+            stationary_streak += 1
+        else:
+            stationary_streak = 0
+        beta, obj = cand, cand_obj
+        if stationary_streak >= 3:
+            converged = True
+            break
+    else:
+        g = _ref_grad(beta, X, target, m, ridge_diag)
+        converged = np.max(np.abs(g)) <= params.gradient_tolerance
+
+    weights = beta[1:] / scale
+    intercept = beta[0] - float(weights @ mu)
+    return weights, intercept, iterations, bool(converged)
+
+
+def test_objective_and_gradient_match_reference_bitwise():
+    # the fit's outputs rarely show a last-bit change in the objective,
+    # which only decides line-search acceptance
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        unit, X, t, w, _ = random_problem(rng, n=40, p=4)
+        ridge = np.concatenate(([0.0], rng.uniform(0.0, 0.1, unit.size - 1)))
+        for beta in (1e-3 * unit, 0.3 * unit, unit, 40.0 * unit):
+            assert penalized_nll(beta, X, t, w, ridge) == _ref_nll(beta, X, t, w, ridge)
+            got = penalized_nll_grad(beta, X, t, w, ridge)
+            assert got.tobytes() == _ref_grad(beta, X, t, w, ridge).tobytes()
+
+
+def _fit_result(d, params):
+    try:
+        model = fit_logistic(d, params)
+    except DidNotConverge as err:
+        model = err.model
+    return model.weights, model.intercept, model.iterations, model.converged
+
+
+def _assert_fits_bit_equal(d, params):
+    w, b, iterations, converged = _fit_result(d, params)
+    ref_w, ref_b, ref_iterations, ref_converged = _ref_fit(d, params)
+    assert w.tobytes() == ref_w.tobytes()
+    assert np.float64(b).tobytes() == np.float64(ref_b).tobytes()
+    assert (iterations, converged) == (ref_iterations, ref_converged)
+
+
+_FRACTIONS = (0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def _logistic_problems(draw):
+    n = draw(st.integers(2, 30))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if len(set(labels)) == 1:
+        labels[0] ^= 1  # both classes present
+    kinds = draw(st.lists(
+        st.sampled_from(("numeric", "nominal", "separating")), min_size=1, max_size=4
+    ))
+    class_at = draw(st.integers(0, len(kinds)))
+    attrs, cols = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "nominal":
+            size = draw(st.integers(2, 4))
+            attrs.append(AttributeSpec(f"n{j}", tuple(f"v{i}" for i in range(size))))
+            cols.append(draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)))
+            continue
+        attrs.append(AttributeSpec(f"x{j}"))
+        if kind == "numeric":
+            cols.append(draw(st.lists(
+                st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n
+            )))
+        else:
+            # the label shifted by a gap plus small noise: separable or
+            # nearly so, where the iterates run off towards infinity
+            gap = draw(st.sampled_from((0.5, 3.0, 50.0)))
+            noise = draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n))
+            cols.append([gap * t + e for t, e in zip(labels, noise)])
+    attrs.insert(class_at, AttributeSpec("class", ("a", "b")))
+    cols.insert(class_at, labels)
+    weights = draw(st.lists(st.sampled_from(_FRACTIONS), min_size=n, max_size=n))
+    d = Dataset(attrs, np.asarray(cols, dtype=float).T, class_at, weights=weights)
+    params = LogisticParams(
+        ridge=draw(st.sampled_from((0.0, 1e-8, 1e-3, 1.0))),
+        max_iterations=draw(st.sampled_from((1, 2, 1000))),
+        gradient_tolerance=draw(st.sampled_from((1e-8, 1e-14))),
+    )
+    return d, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(_logistic_problems())
+def test_single_pass_newton_matches_two_pass_reference(problem):
+    _assert_fits_bit_equal(*problem)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (2, 7), (5, 10)])
+def test_single_pass_newton_matches_reference_on_vowel(vowel, pair):
+    d = vowel.restrict_to_classes(pair)
+    for params in (
+        LogisticParams(max_iterations=1000),
+        LogisticParams(ridge=0.0, max_iterations=1, gradient_tolerance=1e-14),
+    ):
+        _assert_fits_bit_equal(d, params)
