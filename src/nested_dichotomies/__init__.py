@@ -3,6 +3,16 @@ class splits, with random, class-balanced, centroid and random-pair
 subset selection, ensemble wrappers, tree-space analysis, and a repeated
 cross-validation harness with the corrected resampled t-test."""
 
+import os
+
+# A threaded BLAS sums the logistic Hessian in an order that depends on its
+# thread count, so fitted models would depend on the machine's core count.
+# Run BLAS on one thread unless the caller set a count; this takes effect
+# only when numpy is first imported through this package.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .data import (
     AttributeSpec,
     Dataset,

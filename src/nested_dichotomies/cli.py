@@ -129,13 +129,17 @@ class MethodSpec:
 
 class InvalidConfigValue(ValueError):
     """A failed :class:`ExperimentConfig` check.  ``key`` is the config key
-    that set the value; ``method`` is the index of the offending method
-    when the value belongs to one."""
+    that set the value; ``index`` is the position of the offending entry
+    when the key repeats (``method``, ``dataset``), and ``first`` that of
+    the earlier entry it clashes with."""
 
-    def __init__(self, message: str, key: str, method: int | None = None):
+    def __init__(
+        self, message: str, key: str, index: int | None = None, first: int | None = None
+    ):
         super().__init__(message)
         self.key = key
-        self.method = method
+        self.index = index
+        self.first = first
 
 
 @dataclass(frozen=True)
@@ -155,11 +159,19 @@ class ExperimentConfig:
             raise ValueError("at least one dataset required")
         if not self.methods:
             raise ValueError("at least one method required")
+        ids = [d.dataset_id for d in self.datasets]
+        for i, dataset_id in enumerate(ids):
+            if dataset_id in ids[:i]:
+                raise InvalidConfigValue(
+                    f"dataset ids (file stems) must be unique: {dataset_id!r} repeats",
+                    "dataset", i, first=ids.index(dataset_id),
+                )
         names = [m.name for m in self.methods]
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise InvalidConfigValue(
-                    f"method names must be unique: {name!r} repeats", "method", i
+                    f"method names must be unique: {name!r} repeats",
+                    "method", i, first=names.index(name),
                 )
         ref = self.reference or names[0]
         if ref not in names:
@@ -249,7 +261,7 @@ def parse_config(text: str) -> ExperimentConfig:
     methods: list[MethodSpec] = []
     scalars: dict[str, str] = {}
     scalar_lines: dict[str, int] = {}
-    method_lines: list[int] = []
+    entry_lines: dict[str, list[int]] = {"dataset": [], "method": []}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
@@ -278,9 +290,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 )
             except ValueError as exc:
                 raise ConfigError(lineno, str(exc)) from None
+            entry_lines["dataset"].append(lineno)
         elif key == "method":
             methods.append(_method_from_tokens(_parse_tokens(value, lineno), lineno))
-            method_lines.append(lineno)
+            entry_lines["method"].append(lineno)
         else:
             scalars[key] = value
             scalar_lines[key] = lineno
@@ -312,11 +325,13 @@ def parse_config(text: str) -> ExperimentConfig:
             subsample_cap=scalar_int("subsample_cap", None),
         )
     except InvalidConfigValue as exc:
-        if exc.method is not None:
-            line = method_lines[exc.method]
-        else:
-            line = scalar_lines.get(exc.key, 0)
-        raise ConfigError(line, str(exc)) from None
+        if exc.index is None:
+            raise ConfigError(scalar_lines.get(exc.key, 0), str(exc)) from None
+        lines = entry_lines[exc.key]
+        reason = str(exc)
+        if exc.first is not None:
+            reason += f" (first {exc.key} at line {lines[exc.first]})"
+        raise ConfigError(lines[exc.index], reason) from None
     except ValueError as exc:
         raise ConfigError(0, str(exc)) from None
 
@@ -342,11 +357,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(exit_code=0)
 
     loaded: list[tuple[DatasetRef, Dataset]] = []
+    cells = []
     for ref in cfg.datasets:
         try:
-            loaded.append((ref, ref.load()))
+            d = ref.load()
+            plan = stratified_folds(
+                d, cfg.k, cfg.repeats, child_seed(cfg.seed, ref.dataset_id)
+            )
         except (OSError, NDError) as exc:
             report.failures.append(f"{ref.dataset_id}: {exc}")
+            continue
+        loaded.append((ref, d))
+        cells.extend((ref, d, plan, method) for method in cfg.methods)
 
     ref_index = [m.name for m in cfg.methods].index(cfg.reference)
     results: dict[tuple[str, str], CVResult] = {}
@@ -354,11 +376,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     def run_cell(ref: DatasetRef, d: Dataset, plan, method: MethodSpec):
         builder = method.make_builder(cfg.subsample_cap)
         return run_cv(d, builder, plan, dataset_id=ref.dataset_id, method_id=method.name)
-
-    cells = []
-    for ref, d in loaded:
-        plan = stratified_folds(d, cfg.k, cfg.repeats, child_seed(cfg.seed, ref.dataset_id))
-        cells.extend((ref, d, plan, method) for method in cfg.methods)
 
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
         futures = [pool.submit(run_cell, *cell) for cell in cells]
@@ -580,7 +597,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_threads() -> None:
+    """Run the OpenBLAS bundled with numpy on one thread whatever the
+    environment asked for, so that ``ndich`` output does not depend on the
+    core count.  Does nothing when numpy bundles no OpenBLAS."""
+    import ctypes
+
+    import numpy
+
+    libs = Path(numpy.__file__).parent.with_name("numpy.libs")
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in (
+            "scipy_openblas_set_num_threads64_",
+            "openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+        ):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                return
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "cap", None) is not None and args.cap < 1:

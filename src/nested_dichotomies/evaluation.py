@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import t_critical
 from .data import Dataset, FoldPlan, train_test_split
 from .errors import MismatchedPlans, NDError
 from .seeds import child_seed
@@ -165,9 +166,7 @@ def corrected_t(
             **common,
         )
     t = mean / math.sqrt((1.0 / runs + ratio) * var)
-    from scipy.special import stdtrit  # here, to keep scipy out of the package import
-
-    critical = float(stdtrit(runs - 1, 1.0 - alpha / 2.0))
+    critical = t_critical(runs - 1, alpha)
     significant = abs(t) > critical
     direction = "none" if not significant else ("gain" if t > 0 else "loss")
     return TTestOutcome(t, significant, direction, **common)

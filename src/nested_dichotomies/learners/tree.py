@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .._special import ndtri
 from ..data import Dataset
 from .base import BinaryModel, binary_class_info
 
@@ -90,11 +91,8 @@ def _ent(w_first, w_second):
 
 
 @lru_cache(maxsize=32)
-def _upper_z(cf: float):
-    """Normal deviate of the one-sided ``cf`` bound.  scipy is imported
-    here, on the first prune, to keep it out of the package import."""
-    from scipy.special import ndtri
-
+def _upper_z(cf: float) -> float:
+    """Normal deviate of the one-sided ``cf`` bound."""
     return ndtri(1.0 - cf)
 
 

@@ -308,3 +308,43 @@ def test_zoo_single_rpnd_logistic_accuracy_band(tmp_path):
     row = (out / "results.csv").read_text().splitlines()[1].split(",")
     mean = 100 * float(row[2])
     assert 85.0 <= mean <= 96.0
+
+
+def test_dataset_too_small_for_k_is_a_dataset_failure(tiny_dataset_file, tmp_path, capsys):
+    # the 16-row CSV cannot be cut into 40 folds; zoo can, and its
+    # results are still written
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        config_text(tiny_dataset_file, out)
+        .replace("k = 2", f"dataset = {DATASETS_DIR / 'zoo.arff'}\nk = 40")
+    )
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: tiny: k=40 exceeds the instance count 16\n"
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["zoo", "rpnd"], ["zoo", "nd"]]
+    assert "zoo" in (out / "results.txt").read_text()
+
+
+def test_repeated_dataset_id_is_a_config_error(tmp_path, capsys):
+    # a/t.csv and b/t.csv share the id "t", which keys results and seeds
+    # the fold plan
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "t.csv").write_text(TINY_CSV)
+    out = tmp_path / "out"
+    text = config_text(tmp_path / "a" / "t.csv", out).replace(
+        "k = 2", f"dataset = {tmp_path / 'b' / 't.csv'} format=csv class_col=2\nk = 2"
+    )
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines, 1) if line.startswith("dataset"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == first + 1
+    assert "'t' repeats" in str(err.value) and f"line {first}" in str(err.value)
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config line {first + 1}: ")
+    assert not out.exists()

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from conftest import gaussian_dataset, simple_dataset
+from nested_dichotomies._special import t_critical
 from nested_dichotomies.data import stratified_folds
 from nested_dichotomies.dichotomy import build_nd
 from nested_dichotomies.errors import MismatchedPlans
@@ -169,6 +170,21 @@ def test_significance_against_table_value():
     a, b = result_from(base, diffs, k=10)
     out = corrected_t(a, b, test_train_ratio=0.0)
     assert out.significant and out.direction == "gain"
+
+
+def test_t_critical_matches_scipy():
+    alphas = (0.001, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.9)
+    dfs = np.arange(1, 1001)
+    expected = special.stdtrit(dfs[:, None], 1.0 - np.array(alphas) / 2.0)
+    got = np.array([[t_critical(int(df), alpha) for alpha in alphas] for df in dfs])
+    rel = np.abs(got - expected) / expected
+    assert rel.max() < 1e-12, (rel.max(), np.unravel_index(rel.argmax(), rel.shape))
+
+
+@pytest.mark.parametrize("df, alpha", [(0, 0.05), (9, 0.0), (9, 1.0)])
+def test_t_critical_rejects_bad_arguments(df, alpha):
+    with pytest.raises(ValueError):
+        t_critical(df, alpha)
 
 
 # -- table formatting -------------------------------------------------------

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_dataset, simple_dataset
+from nested_dichotomies._special import ndtri
 from nested_dichotomies.data import AttributeSpec, Dataset
 from nested_dichotomies.errors import SingleClass
 from nested_dichotomies.learners import TreeParams, fit_tree
@@ -182,6 +186,43 @@ def test_add_errs_matches_c45_convention():
     # interior values stay positive and below N
     v = add_errs(20.0, 5.0, 0.25)
     assert 0 < v < 20
+
+
+def _neighbours(x: float, count: int = 4) -> list[float]:
+    """``x`` and the ``count`` doubles on either side of it."""
+    out = [x]
+    up = down = x
+    for _ in range(count):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+def test_ndtri_bit_equal_to_scipy():
+    # all three Cephes branches and both thresholds: the central rational
+    # for y in (exp(-2), 1 - exp(-2)], the z < 8 tail down to exp(-32) and
+    # the far tail, mirrored above 1 - exp(-2); the ends and out-of-range
+    # values return what Cephes returns
+    rng = np.random.default_rng(0)
+    tails = np.logspace(-320, -1, 4000)
+    grid = np.concatenate([
+        np.linspace(0.0, 1.0, 100_001),
+        rng.random(20_000),
+        tails,
+        1.0 - tails,
+        1.0 - np.logspace(-16, -1, 1000),
+        [5e-324, 1e-320, 2.2250738585072014e-308, 1.0 - 2.0**-53, 0.5, 0.25],
+        _neighbours(math.exp(-2)),
+        _neighbours(1.0 - math.exp(-2)),
+        _neighbours(math.exp(-32)),
+        _neighbours(1.0 - math.exp(-32)),
+        [-0.0, -1e-300, -1.0, 1.0 + 2.0**-52, 2.0, math.inf, -math.inf, math.nan],
+    ])
+    expected = scipy.special.ndtri(grid)
+    got = np.array([ndtri(float(y)) for y in grid])
+    same = (got == expected) | (np.isnan(got) & np.isnan(expected))
+    assert same.all(), grid[~same][:10]
+    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
 
 
 def test_tree_encoding_mismatch():
