@@ -9,21 +9,31 @@ lowest attribute index, then the lowest threshold / value index.  Leaves
 report the weighted class frequency with no smoothing.
 
 When a node is impure but no candidate split has positive gain (XOR-like
-data), the lowest-indexed feasible split is taken anyway; recursion still
+data), the lowest-indexed feasible split is taken anyway; growth still
 terminates because both sides must receive at least the per-leaf minimum.
 
 Numeric split search follows the attribute lists of SLIQ (Mehta, Agrawal
-and Rissanen, 1996): each numeric column is argsorted once per fit, and a
+and Rissanen, 1996), kept as the dataset's order codes (see ``data``)
+rather than float values: each numeric column's codes are stable-sorted
+once per fit, which numpy runs as a radix sort on 16-bit codes, and a
 split stable-partitions the node's slice of every sorted list, so each
-node sees its rows in the order its own stable sort would give.  A node
-scores all numeric attributes in one pass: cumulative weight sums along
-the sorted lists, entropy terms only at value boundaries that leave the
-per-leaf minimum on both sides, and a per-attribute maximum.  Nominal
-attributes count weights per value with ``bincount``.
+node sees its rows in the order its own stable sort would give.  Codes
+order and tie as the values do, so the order, and so the model, is the
+one a stable sort of the values gives.  A node scores all numeric
+attributes in one pass: cumulative weight sums along the sorted lists,
+entropy terms only at code boundaries that leave the per-leaf minimum on
+both sides, with every ``x log2 x`` term of the node taken in one
+vectorized pass, and a per-attribute maximum.  A threshold is the
+midpoint of the values of the two rows either side of the chosen
+boundary.  Nominal attributes count weights per value with ``bincount``.
 
 Pruning is pessimistic-error pruning: a subtree collapses to a leaf when
 the leaf's upper-confidence error estimate does not exceed the subtree's.
 No subtree raising, no missing-value handling.
+
+Growing, pruning and every walk of a fitted tree use explicit stacks, so
+tree depth is bounded by memory, not by the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -147,43 +157,39 @@ class TreeModel(BinaryModel):
 
     # -- inspection ---------------------------------------------------
 
-    def n_nodes(self) -> int:
-        def count(node):
-            if isinstance(node, _Leaf):
-                return 1
-            return 1 + count(node.left) + count(node.right)
+    def _preorder(self):
+        """``(node, depth)`` pairs, each node before its left subtree and
+        the left subtree before the right."""
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            yield node, depth
+            if isinstance(node, _Node):
+                stack.append((node.right, depth + 1))
+                stack.append((node.left, depth + 1))
 
-        return count(self.root)
+    def n_nodes(self) -> int:
+        return sum(1 for _ in self._preorder())
 
     def depth(self) -> int:
-        def d(node):
-            if isinstance(node, _Leaf):
-                return 0
-            return 1 + max(d(node.left), d(node.right))
-
-        return d(self.root)
+        return max(depth for _, depth in self._preorder())
 
     def to_lines(self) -> list[str]:
         lines = [
             "tree",
             f"classes {self.class_pair[0]} {self.class_pair[1]}",
         ]
-
-        def walk(node, depth):
+        for node, depth in self._preorder():
             pad = "  " * depth
             if isinstance(node, _Leaf):
                 lines.append(f"{pad}leaf {node.w_first!r} {node.w_second!r}")
-                return
+                continue
             name = self.attributes[node.attr].name
             if node.nominal:
                 val = self.attributes[node.attr].values[int(node.threshold)]
                 lines.append(f"{pad}split {name} == {val}")
             else:
                 lines.append(f"{pad}split {name} <= {node.threshold!r}")
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-        walk(self.root, 0)
         return lines
 
 
@@ -221,43 +227,66 @@ def _score(gain, split_info, use_ratio):
 
 
 class _Grower:
-    """Grows one unpruned tree over an attribute list sorted once per fit.
+    """Grows one unpruned tree over attribute lists sorted once per fit.
 
-    ``order[a]`` lists row ids by ascending value of numeric attribute
-    ``numeric[a]`` (stable, so ties keep row order); the last row of
-    ``order`` lists row ids in dataset order.  Each node owns the column
-    range ``lo:hi`` of ``order`` and ``sorted_values``; a split partitions
-    that range in place, left rows first, keeping relative order in every
-    row, so each node's range is its own stable sort.  The gather and
+    ``order[a]`` lists row ids by ascending code of numeric attribute
+    ``numeric[a]`` (stable, so ties keep row order) and
+    ``sorted_codes[a]`` the codes in that order; the last row of ``order``
+    lists row ids in dataset order.  Each node owns the column range
+    ``lo:hi`` of ``order`` and ``sorted_codes``; a split partitions that
+    range in place, left rows first, keeping relative order in every row,
+    so each node's range is its own stable sort.  The gather and
     cumulative-sum buffers are allocated once and reused by every node.
     """
 
-    def __init__(self, values, target, weights, feature_cols, nominal_sizes, params):
-        n = values.shape[0]
-        self.values = values
+    def __init__(self, d: Dataset, target, params):
+        n = d.n_instances
+        self.values = d.values
         self.target = target
-        self.weights = weights
-        self.weighted_target = weights * target
-        self.nominal_sizes = nominal_sizes
-        self.numeric = tuple(j for j in feature_cols if not nominal_sizes[j])
-        self.nominal = tuple(j for j in feature_cols if nominal_sizes[j])
+        self.weights = d.weights
+        self.weighted_target = d.weights * target
+        self.nominal_sizes = tuple(
+            len(spec.values) if spec.is_nominal else 0 for spec in d.attributes
+        )
+        features = [j for j in range(d.n_attributes) if j != d.class_attribute]
+        # the class attribute is nominal, so these are the columns of codes
+        self.numeric = tuple(j for j in features if not self.nominal_sizes[j])
+        self.nominal = tuple(j for j in features if self.nominal_sizes[j])
         self.params = params
         self.min_leaf = float(params.min_instances_per_leaf)
 
         m = len(self.numeric)
-        cols = np.ascontiguousarray(values[:, self.numeric].T)
+        codes = np.ascontiguousarray(d.codes.T)
         self.order = np.empty((m + 1, n), dtype=np.intp)
-        self.order[:m] = np.argsort(cols, axis=1, kind="stable")
+        self.order[:m] = np.argsort(codes, axis=1, kind="stable")
         self.order[m] = np.arange(n)
-        self.sorted_values = np.take_along_axis(cols, self.order[:m], axis=1)
+        self.sorted_codes = np.take_along_axis(codes, self.order[:m], axis=1)
         self._cw = np.empty(m * n)
         self._cw1 = np.empty(m * n)
-        self._right_w = np.empty(m * n)
-        self._ok = np.empty(m * n, dtype=bool)
-        self._flag = np.empty(m * n, dtype=bool)
+        self._boundary = np.empty(m * n, dtype=bool)
         self._go_left = np.empty(n, dtype=bool)
 
-    def grow(self, lo, hi):
+    def grow(self):
+        """The unpruned tree over every row, grown depth first from an
+        explicit stack."""
+        root = None
+        pending = [(0, self.order.shape[1], None, "")]
+        while pending:
+            lo, hi, parent, side = pending.pop()
+            node, mid = self._split(lo, hi)
+            if parent is None:
+                root = node
+            else:
+                setattr(parent, side, node)
+            if mid is not None:
+                pending.append((mid, hi, node, "right"))
+                pending.append((lo, mid, node, "left"))
+        return root
+
+    def _split(self, lo, hi):
+        """``(leaf, None)`` for the node ``lo:hi``, or ``(node, mid)`` with
+        the children of ``node`` still to grow over ``lo:mid`` and
+        ``mid:hi``."""
         rows = self.order[-1, lo:hi]
         weights = self.weights[rows]
         target = self.target[rows]
@@ -267,7 +296,7 @@ class _Grower:
         min_leaf = self.min_leaf
 
         if w1 <= 0 or w2 <= 0 or w_total < 2 * min_leaf:
-            return _Leaf(w1, w2)
+            return _Leaf(w1, w2), None
 
         candidates = self._numeric_candidates(lo, hi)
         for attr in self.nominal:
@@ -277,7 +306,7 @@ class _Grower:
             if cand is not None:
                 candidates.append((attr, *cand))
         if not candidates:
-            return _Leaf(w1, w2)
+            return _Leaf(w1, w2), None
 
         gain_floor = _EPS * max(1.0, w_total)
         positive = [c for c in candidates if c[1] > gain_floor]
@@ -295,9 +324,7 @@ class _Grower:
         col = self.values[rows, attr]
         go_left = col == thr if nominal else col <= thr
         mid = lo + self._partition(lo, hi, rows, go_left)
-        left = self.grow(lo, mid)
-        right = self.grow(mid, hi)
-        return _Node(attr, thr, nominal, left, right, w1, w2)
+        return _Node(attr, thr, nominal, None, None, w1, w2), mid
 
     def _numeric_candidates(self, lo, hi):
         """Best threshold of every numeric attribute at the node ``lo:hi``,
@@ -317,26 +344,46 @@ class _Grower:
         np.cumsum(cw, axis=1, out=cw)
         np.cumsum(cw1, axis=1, out=cw1)
 
-        # feasible: a value boundary with at least min_leaf weight each side
-        v = self.sorted_values[:, lo:hi]
-        left_w = cw[:, :-1]
-        ok = self._ok[: m * (k - 1)].reshape(m, k - 1)
-        flag = self._flag[: m * (k - 1)].reshape(m, k - 1)
-        right_w = self._right_w[: m * (k - 1)].reshape(m, k - 1)
-        np.less(v[:, :-1], v[:, 1:], out=ok)
-        ok &= np.greater_equal(left_w, self.min_leaf, out=flag)
-        np.subtract(total_w[:, None], left_w, out=right_w)
-        ok &= np.greater_equal(right_w, self.min_leaf, out=flag)
-        a, i = np.nonzero(ok)
+        # candidates: code boundaries, attribute by attribute, that leave
+        # at least min_leaf weight on each side
+        codes = self.sorted_codes[:, lo:hi]
+        boundary = self._boundary[: m * (k - 1)].reshape(m, k - 1)
+        np.less(codes[:, :-1], codes[:, 1:], out=boundary)
+        at = np.flatnonzero(boundary)
+        a = at // (k - 1)
+        at += a  # from (m, k - 1) to (m, k) positions
+        lw = cw.take(at)
+        tw = total_w[a]
+        ok = (lw >= self.min_leaf) & (tw - lw >= self.min_leaf)
+        a, at, lw, tw = a[ok], at[ok], lw[ok], tw[ok]
         if a.size == 0:
             return []
 
-        lw, lw1 = cw[a, i], cw1[a, i]
-        tw, t1 = total_w[a], total_1[a]
-        parent = _ent(total_1, total_w - total_1)[a]
-        children = _ent(lw1, lw - lw1) + _ent(t1 - lw1, (tw - lw) - (t1 - lw1))
-        gains = parent - children
-        split_info = _xlog2x(tw) - _xlog2x(lw) - _xlog2x(tw - lw)
+        # every x*log2(x) argument of the node in one buffer, each spelled
+        # as _ent spells it: per attribute the parent's three and the node
+        # weight, per candidate each child's three and the two side weights
+        # of the split info
+        args = np.empty(4 * m + 8 * a.size)
+        t_sum, t_1, t_2, t_w = args[: 4 * m].reshape(4, m)
+        l_sum, l_1, l_2, l_w, r_sum, r_1, r_2, r_w = args[4 * m :].reshape(8, a.size)
+        t_1[:] = total_1
+        np.subtract(total_w, total_1, out=t_2)
+        np.add(t_1, t_2, out=t_sum)
+        t_w[:] = total_w
+        l_w[:] = lw
+        cw1.take(at, out=l_1)
+        np.subtract(l_w, l_1, out=l_2)
+        np.add(l_1, l_2, out=l_sum)
+        np.subtract(tw, l_w, out=r_w)
+        np.subtract(total_1[a], l_1, out=r_1)
+        np.subtract(r_w, r_1, out=r_2)
+        np.add(r_1, r_2, out=r_sum)
+        xlx = _xlog2x(args)
+        x_sum, x_1, x_2, x_w = xlx[: 4 * m].reshape(4, m)
+        xl_sum, xl_1, xl_2, xl_w, xr_sum, xr_1, xr_2, xr_w = xlx[4 * m :].reshape(8, a.size)
+        parent = (x_sum - x_1 - x_2)[a]
+        gains = parent - ((xl_sum - xl_1 - xl_2) + (xr_sum - xr_1 - xr_2))
+        split_info = x_w[a] - xl_w - xr_w
 
         # per attribute (a segment of the candidates), the first candidate
         # within _EPS of the segment's highest gain
@@ -348,8 +395,12 @@ class _Grower:
         hit = np.flatnonzero(gains >= (top - _EPS)[segment])
         best = hit[np.concatenate(([True], segment[hit[1:]] != segment[hit[:-1]]))]
 
-        ra, ri = a[best], i[best]
-        thresholds = (v[ra, ri] + v[ra, ri + 1]) / 2.0
+        # the midpoint of the values of the rows either side of the boundary
+        ra, ri = a[best], at[best] - a[best] * k
+        cols = np.take(self.numeric, ra)
+        below = self.values[ids[ra, ri], cols]
+        above = self.values[ids[ra, ri + 1], cols]
+        thresholds = (below + above) / 2.0
         return [
             (self.numeric[r], float(gains[b]), float(split_info[b]), thr)
             for r, b, thr in zip(ra.tolist(), best.tolist(), thresholds)
@@ -357,56 +408,56 @@ class _Grower:
 
     def _partition(self, lo, hi, rows, go_left):
         """Stable-partition the node range, left rows first, in every row
-        of ``order`` and ``sorted_values``; returns the left row count."""
+        of ``order`` and ``sorted_codes``; returns the left row count."""
         self._go_left[rows] = go_left
         n_left = int(np.count_nonzero(go_left))
         n_right = hi - lo - n_left
         to_left = self._go_left[self.order[:, lo:hi]]
         for lists, left in (
             (self.order[:, lo:hi], to_left),
-            (self.sorted_values[:, lo:hi], to_left[:-1]),
+            (self.sorted_codes[:, lo:hi], to_left[:-1]),
         ):
-            # boolean indexing reads row by row, so each row keeps its order
+            # compress reads row by row, so each row keeps its order; it
+            # beats boolean indexing on masks as irregular as these
+            left, flat = left.ravel(), lists.ravel()
             lists[:, :n_left], lists[:, n_left:] = (
-                lists[left].reshape(-1, n_left),
-                lists[~left].reshape(-1, n_right),
+                np.compress(left, flat).reshape(-1, n_left),
+                np.compress(~left, flat).reshape(-1, n_right),
             )
         return n_left
 
 
-def _pessimistic_errors(node, cf: float) -> float:
-    if isinstance(node, _Leaf):
+def _prune(root, cf: float):
+    """Pessimistic-error pruning, bottom up: each subtree's pruned form
+    and error estimate are worked out once, after its children's."""
+    preorder, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        if isinstance(node, _Node):
+            stack += (node.left, node.right)
+    pruned = {}  # subtree -> (its pruned form, that form's error estimate)
+    for node in reversed(preorder):  # children before their parent
         n = node.w_first + node.w_second
         e = min(node.w_first, node.w_second)
-        return e + add_errs(n, e, cf)
-    return _pessimistic_errors(node.left, cf) + _pessimistic_errors(node.right, cf)
-
-
-def _prune(node, cf: float):
-    if isinstance(node, _Leaf):
-        return node
-    node.left = _prune(node.left, cf)
-    node.right = _prune(node.right, cf)
-    n = node.w_first + node.w_second
-    e = min(node.w_first, node.w_second)
-    as_leaf = e + add_errs(n, e, cf)
-    subtree = _pessimistic_errors(node.left, cf) + _pessimistic_errors(node.right, cf)
-    if as_leaf <= subtree + 0.1:
-        return _Leaf(node.w_first, node.w_second)
-    return node
+        as_leaf = e + add_errs(n, e, cf)
+        if isinstance(node, _Leaf):
+            pruned[node] = node, as_leaf
+            continue
+        node.left, left_errors = pruned.pop(node.left)
+        node.right, right_errors = pruned.pop(node.right)
+        subtree = left_errors + right_errors
+        if as_leaf <= subtree + 0.1:
+            pruned[node] = _Leaf(node.w_first, node.w_second), as_leaf
+        else:
+            pruned[node] = node, subtree
+    return pruned[root][0]
 
 
 def fit_tree(d: Dataset, params: TreeParams = TreeParams()) -> TreeModel:
     """Fit on a dataset with exactly two classes present."""
     lo, hi, target = binary_class_info(d)
-    feature_cols = tuple(
-        j for j in range(d.n_attributes) if j != d.class_attribute
-    )
-    nominal_sizes = tuple(
-        len(spec.values) if spec.is_nominal else 0 for spec in d.attributes
-    )
-    grower = _Grower(d.values, target, d.weights, feature_cols, nominal_sizes, params)
-    root = grower.grow(0, d.n_instances)
+    root = _Grower(d, target, params).grow()
     if params.prune:
         root = _prune(root, params.pruning_confidence)
     return TreeModel(root, d.attributes, d.class_attribute, (lo, hi))

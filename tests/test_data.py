@@ -296,6 +296,106 @@ def test_dataset_immutable():
         d.class_attribute = 0
 
 
+# -- order codes ----------------------------------------------------------
+
+
+def test_codes_rank_distinct_values():
+    d = parse_arff(SMALL_ARFF)
+    assert d.codes.dtype == np.uint16
+    assert d.codes.tolist() == [[1, 2], [2, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        d.codes[0, 0] = 5
+
+
+@pytest.mark.parametrize("distinct, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.uint32)])
+def test_codes_widen_past_65536_distinct_values(distinct, dtype):
+    x = np.arange(distinct, dtype=float)[::-1]
+    attrs = [AttributeSpec("few"), AttributeSpec("x"), AttributeSpec("c", ("a", "b"))]
+    d = Dataset(attrs, np.column_stack([x % 3, x, x % 2]), 2)
+    assert d.codes.dtype == dtype
+    assert np.array_equal(d.codes[:, 1], x)
+    assert np.array_equal(d.codes[:, 0], x % 3)
+
+
+_CODE_POOL = (-2.5, -0.0, 0.0, 1e-300, 0.5, 3.0, 3.0000000000000004, 1e300)
+
+
+@st.composite
+def _derivation_chains(draw):
+    n = draw(st.integers(1, 12))
+    n_numeric = draw(st.integers(1, 3))
+    attrs = [AttributeSpec(f"x{j}") for j in range(n_numeric)]
+    cols = [
+        draw(st.lists(st.sampled_from(_CODE_POOL), min_size=n, max_size=n))
+        for _ in range(n_numeric)
+    ]
+    class_at = draw(st.integers(0, n_numeric))
+    attrs.insert(class_at, AttributeSpec("class", ("a", "b", "c", "d")))
+    cols.insert(class_at, draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    # the row's origin, as one more numeric column: its codes are the ids
+    attrs.append(AttributeSpec("origin"))
+    cols.append(list(range(n)))
+    weights = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    root = Dataset(attrs, np.asarray(cols, dtype=float).T, class_at, weights=weights)
+    steps = draw(st.lists(
+        st.tuples(
+            st.sampled_from((
+                "subset", "restrict", "relabel", "weights",
+                "bootstrap", "resample", "train", "test",
+            )),
+            st.lists(st.integers(0, 1 << 16), min_size=1, max_size=12),
+        ),
+        max_size=6,
+    ))
+    return root, steps
+
+
+def _derive(d, step, draws):
+    n = d.n_instances
+    if step == "subset":
+        return d.subset([i % n for i in draws])  # repeats are common
+    if step == "restrict":
+        return d.restrict_to_classes({i % 4 for i in draws})
+    if step == "relabel":
+        return d.relabel_binary({i % 4 for i in draws})
+    if step == "weights":
+        return d.with_weights([1.0 + draws[i % len(draws)] % 7 for i in range(n)])
+    if step == "bootstrap":
+        return bootstrap_sample(d, draws[0])
+    if step == "resample":
+        w = [draws[i % len(draws)] % 3 + 0.5 for i in range(n)]
+        return weighted_resample(d, w, len(draws), draws[0])
+    if n < 2:
+        return d
+    plan = stratified_folds(d, 2, 1, draws[0])
+    train, test = train_test_split(d, plan, 0, draws[0] % 2)
+    return train if step == "train" else test
+
+
+@settings(max_examples=300, deadline=None)
+@given(_derivation_chains())
+def test_derived_codes_order_and_tie_as_values(chain):
+    root, steps = chain
+    d = root
+    for step, draws in [(None, None)] + steps:
+        if step is not None:
+            if d.n_instances == 0:
+                break
+            d = _derive(d, step, draws)
+        numeric = [j for j, a in enumerate(d.attributes) if not a.is_nominal]
+        assert not d.codes.flags.writeable
+        assert d.codes.dtype == np.uint16 and d.codes.shape == (d.n_instances, len(numeric))
+        # inherited: each row keeps the codes of the row it came from
+        origin = d.values[:, numeric[-1]].astype(np.intp)
+        assert np.array_equal(d.codes, root.codes[origin])
+        for c, j in enumerate(numeric):
+            codes, values = d.codes[:, c].astype(np.int64), d.values[:, j]
+            assert np.array_equal(
+                np.sign(codes[:, None] - codes[None, :]),
+                np.sign(values[:, None] - values[None, :]),
+            )
+
+
 # -- stratified folds ---------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from nested_dichotomies.learners.tree import (
     _Grower,
     _Leaf,
     _Node,
-    _prune,
     add_errs,
 )
 
@@ -245,9 +244,11 @@ def test_weighted_instances_change_leaf_frequencies():
 # -- oracle: a per-attribute split search -----------------------------------
 #
 # ``_ref_fit`` grows a tree the direct way: at every node, one stable
-# argsort and one cumulative-sum pass per numeric attribute, copying the
-# node's rows for each child.  The presorted search must give the same
-# model text, bit for bit.
+# argsort of the float values and one cumulative-sum pass per numeric
+# attribute, copying the node's rows for each child, and prunes it by
+# re-summing each subtree's leaf errors.  The presorted search over order
+# codes and the one-pass pruning must give the same model text, bit for
+# bit.
 
 
 def _ref_xlog2x(a):
@@ -359,13 +360,36 @@ def _ref_grow(values, target, weights, feature_cols, nominal_sizes, params):
     return _Node(attr, thr, bool(nominal_sizes[attr]), grow(go_left), grow(~go_left), w1, w2)
 
 
+def _ref_pessimistic_errors(node, cf):
+    if isinstance(node, _Leaf):
+        n = node.w_first + node.w_second
+        e = min(node.w_first, node.w_second)
+        return e + add_errs(n, e, cf)
+    return _ref_pessimistic_errors(node.left, cf) + _ref_pessimistic_errors(node.right, cf)
+
+
+def _ref_prune(node, cf):
+    # re-walks each subtree once per ancestor to sum its leaves' errors
+    if isinstance(node, _Leaf):
+        return node
+    node.left = _ref_prune(node.left, cf)
+    node.right = _ref_prune(node.right, cf)
+    n = node.w_first + node.w_second
+    e = min(node.w_first, node.w_second)
+    as_leaf = e + add_errs(n, e, cf)
+    subtree = _ref_pessimistic_errors(node.left, cf) + _ref_pessimistic_errors(node.right, cf)
+    if as_leaf <= subtree + 0.1:
+        return _Leaf(node.w_first, node.w_second)
+    return node
+
+
 def _ref_fit(d, params):
     lo, hi, target = binary_class_info(d)
     feature_cols = tuple(j for j in range(d.n_attributes) if j != d.class_attribute)
     nominal_sizes = tuple(len(s.values) if s.is_nominal else 0 for s in d.attributes)
     root = _ref_grow(d.values, target, d.weights, feature_cols, nominal_sizes, params)
     if params.prune:
-        root = _prune(root, params.pruning_confidence)
+        root = _ref_prune(root, params.pruning_confidence)
     return TreeModel(root, d.attributes, d.class_attribute, (lo, hi))
 
 
@@ -406,20 +430,52 @@ def _tree_problems(draw):
     return d, params
 
 
+def _ref_lines(model):
+    # the recursive walks that the model's stack-based ones replaced
+    lines = ["tree", f"classes {model.class_pair[0]} {model.class_pair[1]}"]
+
+    def walk(node, depth):
+        pad = "  " * depth
+        if isinstance(node, _Leaf):
+            lines.append(f"{pad}leaf {node.w_first!r} {node.w_second!r}")
+            return
+        spec = model.attributes[node.attr]
+        if node.nominal:
+            lines.append(f"{pad}split {spec.name} == {spec.values[int(node.threshold)]}")
+        else:
+            lines.append(f"{pad}split {spec.name} <= {node.threshold!r}")
+        walk(node.left, depth + 1)
+        walk(node.right, depth + 1)
+
+    walk(model.root, 0)
+    return lines
+
+
+def _ref_size(node):
+    """(node count, depth)"""
+    if isinstance(node, _Leaf):
+        return 1, 0
+    (n_left, d_left), (n_right, d_right) = _ref_size(node.left), _ref_size(node.right)
+    return 1 + n_left + n_right, 1 + max(d_left, d_right)
+
+
+def _assert_fits_reference(d, params):
+    got, want = fit_tree(d, params), _ref_fit(d, params)
+    assert got.to_lines() == _ref_lines(want)
+    assert (got.n_nodes(), got.depth()) == _ref_size(want.root)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tree_problems())
 def test_presorted_search_matches_per_attribute_reference(problem):
-    d, params = problem
-    assert fit_tree(d, params).to_lines() == _ref_fit(d, params).to_lines()
+    _assert_fits_reference(*problem)
 
 
 def _assert_root_candidates_match(d, params):
     # gains and split info, not only the chosen split: a last-bit change in
     # the sums would rarely show in the model text
     _, _, target = binary_class_info(d)
-    feature_cols = tuple(j for j in range(d.n_attributes) if j != d.class_attribute)
-    sizes = tuple(len(s.values) if s.is_nominal else 0 for s in d.attributes)
-    grower = _Grower(d.values, target, d.weights, feature_cols, sizes, params)
+    grower = _Grower(d, target, params)
     got = grower._numeric_candidates(0, d.n_instances)
     min_leaf = float(params.min_instances_per_leaf)
     want = []
@@ -446,4 +502,58 @@ def test_presorted_search_matches_reference_on_vowel(vowel, seed):
     d = pair.relabel_binary(side).with_weights(rng.choice(_FRACTIONS, size=pair.n_instances))
     for params in (TreeParams(), TreeParams(min_instances_per_leaf=1, use_gain_ratio=False)):
         _assert_root_candidates_match(d, params)
-        assert fit_tree(d, params).to_lines() == _ref_fit(d, params).to_lines()
+        _assert_fits_reference(d, params)
+
+
+def test_wide_codes_fit_like_the_float_reference():
+    # more than 65,536 distinct values make the codes uint32; the label
+    # flips every 2,500 value units, so splits fall on codes past 65,535
+    rng = np.random.default_rng(3)
+    n = 70_000
+    x = rng.permutation(n) * 0.5 - 1000.0
+    few = rng.integers(0, 4, size=n).astype(float)
+    labels = ((x + 1000.0) // 2500.0 % 2 != (few == 0)).astype(float)
+    attrs = [AttributeSpec("x"), AttributeSpec("few"), AttributeSpec("class", ("a", "b"))]
+    d = Dataset(attrs, np.column_stack([x, few, labels]), 2)
+    assert d.codes.dtype == np.uint32 and d.codes[:, 0].max() == n - 1
+    _assert_fits_reference(d, TreeParams())
+
+
+def test_inherited_codes_fit_like_fresh_ones(vowel):
+    # a subset's codes are its parent's, with gaps; a dataset built from
+    # the same rows ranks them afresh
+    rng = np.random.default_rng(4)
+    pair = vowel.restrict_to_classes((0, 1))
+    idx = rng.integers(0, pair.n_instances, size=pair.n_instances)
+    inherited = pair.subset(idx)
+    fresh = Dataset(pair.attributes, pair.values[idx], pair.class_attribute, pair.weights[idx])
+    assert not np.array_equal(inherited.codes, fresh.codes)
+    for params in (TreeParams(), TreeParams(min_instances_per_leaf=1, prune=False)):
+        assert fit_tree(inherited, params).to_lines() == fit_tree(fresh, params).to_lines()
+
+
+def _walk_prob(node, row):
+    while isinstance(node, _Node):
+        x = row[node.attr]
+        node = node.left if (x == node.threshold if node.nominal else x <= node.threshold) else node.right
+    return node.p_first
+
+
+def test_deep_tree_fits_prunes_dumps_and_predicts():
+    # no split has positive gain, so the fallback peels off two rows per
+    # level: depth 1,333, past the interpreter's recursion limit
+    x = np.arange(4000)
+    d = simple_dataset(x, x % 2)
+    deep = fit_tree(d, TreeParams(prune=False))
+    assert (deep.n_nodes(), deep.depth()) == (2667, 1333)
+    lines = deep.to_lines()
+    assert len(lines) == 2 + deep.n_nodes()
+    assert max(len(line) - len(line.lstrip(" ")) for line in lines) == 2 * deep.depth()
+    assert lines[2:4] == ["split x <= np.float64(2.5)", "  leaf 2.0 1.0"]
+    rows = d.values[::7]
+    want = [_walk_prob(deep.root, row) for row in rows]
+    assert deep.predict_prob_batch(rows).tolist() == want
+    assert {1 / 3, 2 / 3} <= set(want)
+    pruned = fit_tree(d)
+    assert pruned.to_lines() == ["tree", "classes 0 1", "leaf 2000.0 2000.0"]
+    assert np.array_equal(pruned.predict_prob_batch(d.values), np.full(4000, 0.5))
