@@ -51,9 +51,15 @@ _ENSEMBLE_BUILDERS = {
 @dataclass(frozen=True)
 class DatasetRef:
     path: str
-    format: str = ""  # inferred from the extension when empty
+    format: str = ""  # "arff" or "csv"; taken from the extension when empty
     class_col: int = -1
     header: bool = False
+
+    def __post_init__(self):
+        fmt = self.format or Path(self.path).suffix.lstrip(".").lower()
+        if fmt not in ("arff", "csv"):
+            raise ValueError(f"unknown dataset format {fmt!r} for {self.path}")
+        object.__setattr__(self, "format", fmt)
 
     @property
     def dataset_id(self) -> str:
@@ -61,12 +67,9 @@ class DatasetRef:
 
     def load(self) -> Dataset:
         text = Path(self.path).read_text()
-        fmt = self.format or Path(self.path).suffix.lstrip(".").lower()
-        if fmt == "arff":
+        if self.format == "arff":
             return parse_arff(text)
-        if fmt == "csv":
-            return parse_csv(text, class_column=self.class_col, header=self.header)
-        raise ConfigError(0, f"unknown dataset format {fmt!r} for {self.path}")
+        return parse_csv(text, class_column=self.class_col, header=self.header)
 
 
 @dataclass(frozen=True)
@@ -447,11 +450,11 @@ def _write_outputs(cfg, loaded, results, ref_index, out_dir: Path, report):
 
 
 def _load_data_args(paths) -> list[tuple[str, Dataset]]:
-    out = []
-    for p in paths:
-        ref = DatasetRef(path=p)
-        out.append((ref.dataset_id, ref.load()))
-    return out
+    try:
+        refs = [DatasetRef(path=p) for p in paths]
+    except ValueError as exc:
+        raise ConfigError(0, str(exc)) from None
+    return [(ref.dataset_id, ref.load()) for ref in refs]
 
 
 def _learner_from_args(args):

@@ -456,9 +456,14 @@ def _finish_dataset(attributes, rows, linenos, class_attribute: int) -> Dataset:
 
 
 def _quote_if_needed(name: str) -> str:
+    """``name`` as an ARFF token: bare when it can be, else in whichever
+    quote character it does not contain."""
     if name and not any(c in name for c in " ,{}%'\"\t"):
         return name
-    return "'" + name + "'"
+    quote = "'" if "'" not in name else '"'
+    if quote in name:
+        raise ValueError(f"cannot write {name!r} in ARFF: it holds both quote characters")
+    return quote + name + quote
 
 
 def serialize_arff(d: Dataset, relation: str = "dataset") -> str:

@@ -103,48 +103,40 @@ class NestedDichotomy(MultiClassModel):
     def structure(self):
         return self.root.structure()
 
-    def internal_nodes(self) -> list[NDNode]:
-        out = []
-
-        def walk(node):
+    def _preorder(self):
+        """``(node, path)`` pairs, each node before its left subtree and
+        the left subtree before the right; ``path`` holds the branches
+        from the root, 0 for left and 1 for right."""
+        stack = [(self.root, ())]
+        while stack:
+            node, path = stack.pop()
+            yield node, path
             if not node.is_leaf:
-                out.append(node)
-                walk(node.left)
-                walk(node.right)
+                stack.append((node.right, path + (1,)))
+                stack.append((node.left, path + (0,)))
 
-        walk(self.root)
-        return out
+    def internal_nodes(self) -> list[NDNode]:
+        return [node for node, _ in self._preorder() if not node.is_leaf]
 
     def to_text(self) -> str:
         lines = []
-
-        def walk(node, depth):
+        for node, path in self._preorder():
             names = ",".join(self.class_names[c] for c in node.class_subset)
-            lines.append("  " * depth + f"[{names}]")
-            if not node.is_leaf:
-                walk(node.left, depth + 1)
-                walk(node.right, depth + 1)
-
-        walk(self.root, 0)
+            lines.append("  " * len(path) + f"[{names}]")
         return "\n".join(lines) + "\n"
 
     def to_model_text(self) -> str:
         """Full line-oriented dump: split structure plus every node model."""
         lines = [f"nested_dichotomy strategy={self.strategy_id} seed={self.build_seed}"]
         lines.append("classes " + ",".join(self.class_names))
-
-        def walk(node, path):
+        for node, path in self._preorder():
             tag = "".join(map(str, path)) or "root"
             subset = ",".join(str(c) for c in node.class_subset)
             if node.is_leaf:
                 lines.append(f"leaf {tag} classes={subset}")
-                return
+                continue
             lines.append(f"node {tag} classes={subset}")
             lines.extend("  " + line for line in node.model.to_lines())
-            walk(node.left, path + (0,))
-            walk(node.right, path + (1,))
-
-        walk(self.root, ())
         return "\n".join(lines) + "\n"
 
     def to_dot(self) -> str:

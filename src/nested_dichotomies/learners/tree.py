@@ -19,13 +19,13 @@ once per fit, which numpy runs as a radix sort on 16-bit codes, and a
 split stable-partitions the node's slice of every sorted list, so each
 node sees its rows in the order its own stable sort would give.  Codes
 order and tie as the values do, so the order, and so the model, is the
-one a stable sort of the values gives.  A node scores all numeric
-attributes in one pass: cumulative weight sums along the sorted lists,
-entropy terms only at code boundaries that leave the per-leaf minimum on
-both sides, with every ``x log2 x`` term of the node taken in one
-vectorized pass, and a per-attribute maximum.  A threshold is the
-midpoint of the values of the two rows either side of the chosen
-boundary.  Nominal attributes count weights per value with ``bincount``.
+one a stable sort of the values gives.  A node scores every attribute
+in one pass over one set of candidate tests: the code boundaries of the
+sorted lists, weighed by cumulative sums, and the ``value vs rest``
+tests, weighed by one ``bincount`` over all nominal columns.  Only tests
+that leave the per-leaf minimum on both sides count; every ``x log2 x``
+term of the node is taken in one vectorized pass, each attribute keeps
+its best test, and the attributes compete in one array.
 
 Pruning is pessimistic-error pruning: a subtree collapses to a leaf when
 the leaf's upper-confidence error estimate does not exceed the subtree's.
@@ -91,13 +91,7 @@ class _Leaf:
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
     return a * np.log2(a, out=np.zeros_like(a), where=a > 0)
-
-
-def _ent(w_first, w_second):
-    """Unnormalized entropy (weight * bits) of a two-class count pair."""
-    return _xlog2x(w_first + w_second) - _xlog2x(w_first) - _xlog2x(w_second)
 
 
 @lru_cache(maxsize=32)
@@ -193,39 +187,6 @@ class TreeModel(BinaryModel):
         return lines
 
 
-def _best_nominal(col, target, weights, n_values, min_leaf):
-    """Best ``value vs rest`` test for one nominal column."""
-    cats = col.astype(np.intp)
-    w_all = np.bincount(cats, weights=weights, minlength=n_values)
-    w_one = np.bincount(cats, weights=weights * target, minlength=n_values)
-    total_w = w_all.sum()
-    total_1 = w_one.sum()
-    ok = (w_all >= min_leaf) & (total_w - w_all >= min_leaf)
-    if not ok.any():
-        return None
-    idx = np.flatnonzero(ok)
-    lw, lw1 = w_all[idx], w_one[idx]
-    parent = _ent(total_1, total_w - total_1)
-    children = _ent(lw1, lw - lw1) + _ent(total_1 - lw1, (total_w - lw) - (total_1 - lw1))
-    gains = parent - children
-    split_info = _xlog2x(total_w) - _xlog2x(lw) - _xlog2x(total_w - lw)
-    best = _argbest(gains, split_info)
-    return float(gains[best]), float(split_info[best]), float(idx[best])
-
-
-def _argbest(gains, split_info):
-    """Index of the best candidate within one attribute: highest gain,
-    ties to the lowest threshold (arrays come in ascending order)."""
-    top = gains.max()
-    return int(np.flatnonzero(gains >= top - _EPS)[0])
-
-
-def _score(gain, split_info, use_ratio):
-    if not use_ratio:
-        return gain
-    return gain / split_info if split_info > _EPS else 0.0
-
-
 class _Grower:
     """Grows one unpruned tree over attribute lists sorted once per fit.
 
@@ -237,6 +198,12 @@ class _Grower:
     range in place, left rows first, keeping relative order in every row,
     so each node's range is its own stable sort.  The gather and
     cumulative-sum buffers are allocated once and reused by every node.
+
+    Slot ``s`` scores attribute ``slot_attr[s]``, numeric ones first.  A
+    candidate test is a slot with the weight and class-1 weight on its
+    left side; each slot also has the node's weight and class-1 weight.
+    Nominal tests are weighed by one ``bincount`` over every nominal
+    column, each column's codes offset to its own run of bins.
     """
 
     def __init__(self, d: Dataset, target, params):
@@ -252,6 +219,7 @@ class _Grower:
         # the class attribute is nominal, so these are the columns of codes
         self.numeric = tuple(j for j in features if not self.nominal_sizes[j])
         self.nominal = tuple(j for j in features if self.nominal_sizes[j])
+        self.slot_attr = np.array(self.numeric + self.nominal, dtype=np.intp)
         self.params = params
         self.min_leaf = float(params.min_instances_per_leaf)
 
@@ -265,6 +233,15 @@ class _Grower:
         self._cw1 = np.empty(m * n)
         self._boundary = np.empty(m * n, dtype=bool)
         self._go_left = np.empty(n, dtype=bool)
+
+        # nominal column i's codes, offset to its own run bin_ranges[i] of
+        # bins; each bin's slot and value index
+        sizes = [self.nominal_sizes[j] for j in self.nominal]
+        offsets = np.cumsum([0] + sizes)
+        self.bin_ranges = tuple(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        self.bins = d.values[:, self.nominal].T.astype(np.intp) + offsets[:-1, None]
+        self.bin_slot = np.repeat(np.arange(m, m + len(sizes)), sizes)
+        self.bin_value = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
 
     def grow(self):
         """The unpruned tree over every row, grown depth first from an
@@ -289,36 +266,30 @@ class _Grower:
         ``mid:hi``."""
         rows = self.order[-1, lo:hi]
         weights = self.weights[rows]
-        target = self.target[rows]
-        w1 = float(weights @ target)
+        w1 = float(weights @ self.target[rows])
         w_total = float(weights.sum())
         w2 = w_total - w1
-        min_leaf = self.min_leaf
 
-        if w1 <= 0 or w2 <= 0 or w_total < 2 * min_leaf:
+        if w1 <= 0 or w2 <= 0 or w_total < 2 * self.min_leaf:
+            return _Leaf(w1, w2), None
+        best = self._best_tests(lo, hi, rows, weights)
+        if best is None:
             return _Leaf(w1, w2), None
 
-        candidates = self._numeric_candidates(lo, hi)
-        for attr in self.nominal:
-            cand = _best_nominal(
-                self.values[rows, attr], target, weights, self.nominal_sizes[attr], min_leaf
-            )
-            if cand is not None:
-                candidates.append((attr, *cand))
-        if not candidates:
-            return _Leaf(w1, w2), None
-
-        gain_floor = _EPS * max(1.0, w_total)
-        positive = [c for c in candidates if c[1] > gain_floor]
-        pool = positive if positive else candidates
-        if positive:
-            use_ratio = self.params.use_gain_ratio
-            scores = [_score(g / w_total, si / w_total, use_ratio) for _, g, si, _ in pool]
-            top = max(scores)
-            tied = [c for s, c in zip(scores, pool) if s >= top - _EPS]
+        # the informative tests (or all, if none is) compete on gain ratio
+        # or gain; ties go to the lowest attribute
+        attrs, gains, split_info, thresholds = best
+        pool = (gains > _EPS * max(1.0, w_total)).nonzero()[0]
+        if pool.size:
+            score = gains[pool] / w_total
+            if self.params.use_gain_ratio:
+                si = split_info[pool] / w_total
+                score = np.divide(score, si, out=np.zeros(pool.size), where=si > _EPS)
+            pool = pool[score >= score.max() - _EPS]
         else:
-            tied = pool  # no informative split: fall back to position order
-        attr, _gain, _si, thr = min(tied, key=lambda c: (c[0], c[3]))
+            pool = np.arange(attrs.size)
+        pick = pool[attrs[pool].argmin()]
+        attr, thr = int(attrs[pick]), thresholds[pick]
 
         nominal = bool(self.nominal_sizes[attr])
         col = self.values[rows, attr]
@@ -326,14 +297,83 @@ class _Grower:
         mid = lo + self._partition(lo, hi, rows, go_left)
         return _Node(attr, thr, nominal, None, None, w1, w2), mid
 
+    def _best_tests(self, lo, hi, rows, weights):
+        """The best test of every attribute with a feasible one at the node
+        ``lo:hi``, as arrays ``(attrs, gains, split_info, thresholds)`` in
+        slot order, gains and split info in unnormalized weight*bits units;
+        None when no attribute has one."""
+        parts = []
+        if self.numeric:
+            parts.append(self._numeric_candidates(lo, hi))
+        if self.nominal:
+            parts.append(self._nominal_candidates(rows, weights))
+        if not parts:
+            return None
+        if len(parts) == 2:  # numeric slots come first, so slots still ascend
+            parts = [tuple(map(np.concatenate, zip(*parts)))]
+        # popped, so that each unfiltered array is freed once filtered
+        total_w, total_1, a, lw, lw1, pos = parts.pop()
+        # the tests that leave at least min_leaf weight on each side
+        tw = total_w[a]
+        ok = (lw >= self.min_leaf) & (tw - lw >= self.min_leaf)
+        a, pos, lw, lw1, tw = a[ok], pos[ok], lw[ok], lw1[ok], tw[ok]
+        if a.size == 0:
+            return None
+
+        # every x*log2(x) argument of the node in one buffer: per slot the
+        # parent's entropy terms and the node weight, per candidate each
+        # child's entropy terms and the two side weights of the split info;
+        # an entropy weighs by its own pair's sum, as the tested reference
+        # search does, so gains agree with it bit for bit
+        s, c = total_w.size, a.size
+        args = np.empty(4 * s + 8 * c)
+        t_sum, t_1, t_2, t_w = args[: 4 * s].reshape(4, s)
+        l_sum, l_1, l_2, l_w, r_sum, r_1, r_2, r_w = args[4 * s :].reshape(8, c)
+        t_1[:], t_w[:] = total_1, total_w
+        np.subtract(total_w, total_1, out=t_2)
+        np.add(t_1, t_2, out=t_sum)
+        l_1[:], l_w[:] = lw1, lw
+        np.subtract(l_w, l_1, out=l_2)
+        np.add(l_1, l_2, out=l_sum)
+        np.subtract(tw, l_w, out=r_w)
+        np.subtract(total_1[a], l_1, out=r_1)
+        np.subtract(r_w, r_1, out=r_2)
+        np.add(r_1, r_2, out=r_sum)
+        xlx = _xlog2x(args)
+        x_sum, x_1, x_2, x_w = xlx[: 4 * s].reshape(4, s)
+        xl_sum, xl_1, xl_2, xl_w, xr_sum, xr_1, xr_2, xr_w = xlx[4 * s :].reshape(8, c)
+        parent = (x_sum - x_1 - x_2)[a]
+        gains = parent - ((xl_sum - xl_1 - xl_2) + (xr_sum - xr_1 - xr_2))
+        split_info = x_w[a] - xl_w - xr_w
+
+        # per slot (a run of candidates), the first within _EPS of the
+        # slot's highest gain: the lowest threshold or value of the best
+        starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+        top = np.zeros(s)
+        top[a[starts]] = np.maximum.reduceat(gains, starts)
+        hit = np.flatnonzero(gains >= (top - _EPS)[a])
+        hit_slot = a[hit]
+        best = hit[np.concatenate(([True], hit_slot[1:] != hit_slot[:-1]))]
+
+        # a numeric threshold is the midpoint of the values of the rows
+        # either side of the boundary, a nominal one the value's index
+        slots, pos = a[best], pos[best]
+        attrs = self.slot_attr[slots]
+        thresholds = pos.astype(float)
+        n = slots.searchsorted(len(self.numeric))
+        if n:
+            ra, ri, cols = slots[:n], pos[:n] - slots[:n] * (hi - lo), attrs[:n]
+            ids = self.order[:-1, lo:hi]
+            below = self.values[ids[ra, ri], cols]
+            above = self.values[ids[ra, ri + 1], cols]
+            thresholds[:n] = (below + above) / 2.0
+        return attrs, gains[best], split_info[best], thresholds
+
     def _numeric_candidates(self, lo, hi):
-        """Best threshold of every numeric attribute at the node ``lo:hi``,
-        as ``(attr, gain_u, split_info_u, threshold)`` in unnormalized
-        weight*bits units; attributes without a feasible threshold are
-        left out."""
+        """The code boundaries of the node ``lo:hi``: per slot the weight
+        and class-1 weight, per candidate its slot, the weights left of it
+        and its position, a flat index into the (slot, row) lists."""
         m, k = len(self.numeric), hi - lo
-        if m == 0:
-            return []
         ids = self.order[:m, lo:hi]
         cw = self._cw[: m * k].reshape(m, k)
         cw1 = self._cw1[: m * k].reshape(m, k)
@@ -343,68 +383,27 @@ class _Grower:
         total_1 = cw1.sum(axis=1)
         np.cumsum(cw, axis=1, out=cw)
         np.cumsum(cw1, axis=1, out=cw1)
-
-        # candidates: code boundaries, attribute by attribute, that leave
-        # at least min_leaf weight on each side
         codes = self.sorted_codes[:, lo:hi]
         boundary = self._boundary[: m * (k - 1)].reshape(m, k - 1)
         np.less(codes[:, :-1], codes[:, 1:], out=boundary)
         at = np.flatnonzero(boundary)
         a = at // (k - 1)
         at += a  # from (m, k - 1) to (m, k) positions
-        lw = cw.take(at)
-        tw = total_w[a]
-        ok = (lw >= self.min_leaf) & (tw - lw >= self.min_leaf)
-        a, at, lw, tw = a[ok], at[ok], lw[ok], tw[ok]
-        if a.size == 0:
-            return []
+        return total_w, total_1, a, cw.take(at), cw1.take(at), at
 
-        # every x*log2(x) argument of the node in one buffer, each spelled
-        # as _ent spells it: per attribute the parent's three and the node
-        # weight, per candidate each child's three and the two side weights
-        # of the split info
-        args = np.empty(4 * m + 8 * a.size)
-        t_sum, t_1, t_2, t_w = args[: 4 * m].reshape(4, m)
-        l_sum, l_1, l_2, l_w, r_sum, r_1, r_2, r_w = args[4 * m :].reshape(8, a.size)
-        t_1[:] = total_1
-        np.subtract(total_w, total_1, out=t_2)
-        np.add(t_1, t_2, out=t_sum)
-        t_w[:] = total_w
-        l_w[:] = lw
-        cw1.take(at, out=l_1)
-        np.subtract(l_w, l_1, out=l_2)
-        np.add(l_1, l_2, out=l_sum)
-        np.subtract(tw, l_w, out=r_w)
-        np.subtract(total_1[a], l_1, out=r_1)
-        np.subtract(r_w, r_1, out=r_2)
-        np.add(r_1, r_2, out=r_sum)
-        xlx = _xlog2x(args)
-        x_sum, x_1, x_2, x_w = xlx[: 4 * m].reshape(4, m)
-        xl_sum, xl_1, xl_2, xl_w, xr_sum, xr_1, xr_2, xr_w = xlx[4 * m :].reshape(8, a.size)
-        parent = (x_sum - x_1 - x_2)[a]
-        gains = parent - ((xl_sum - xl_1 - xl_2) + (xr_sum - xr_1 - xr_2))
-        split_info = x_w[a] - xl_w - xr_w
-
-        # per attribute (a segment of the candidates), the first candidate
-        # within _EPS of the segment's highest gain
-        first = np.empty(a.size, dtype=bool)
-        first[0] = True
-        np.not_equal(a[1:], a[:-1], out=first[1:])
-        segment = np.cumsum(first) - 1
-        top = np.maximum.reduceat(gains, np.flatnonzero(first))
-        hit = np.flatnonzero(gains >= (top - _EPS)[segment])
-        best = hit[np.concatenate(([True], segment[hit[1:]] != segment[hit[:-1]]))]
-
-        # the midpoint of the values of the rows either side of the boundary
-        ra, ri = a[best], at[best] - a[best] * k
-        cols = np.take(self.numeric, ra)
-        below = self.values[ids[ra, ri], cols]
-        above = self.values[ids[ra, ri + 1], cols]
-        thresholds = (below + above) / 2.0
-        return [
-            (self.numeric[r], float(gains[b]), float(split_info[b]), thr)
-            for r, b, thr in zip(ra.tolist(), best.tolist(), thresholds)
-        ]
+    def _nominal_candidates(self, rows, weights):
+        """The ``value vs rest`` tests of the node with ``rows``, laid out
+        as ``_numeric_candidates`` lays out boundaries; a test's position
+        is its value index.  Each bin adds its rows' weights in row order,
+        as a bincount of its own column would, and each column sums its
+        own bins."""
+        bins = self.bins[:, rows].ravel()
+        q, n_bins = len(self.nominal), self.bin_value.size
+        w_all = np.bincount(bins, np.tile(weights, q), n_bins)
+        w_one = np.bincount(bins, np.tile(self.weighted_target[rows], q), n_bins)
+        total_w = np.array([w_all[s:e].sum() for s, e in self.bin_ranges])
+        total_1 = np.array([w_one[s:e].sum() for s, e in self.bin_ranges])
+        return total_w, total_1, self.bin_slot, w_all, w_one, self.bin_value
 
     def _partition(self, lo, hi, rows, go_left):
         """Stable-partition the node range, left rows first, in every row

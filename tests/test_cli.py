@@ -238,6 +238,42 @@ def test_config_value_error_reports_its_line(tiny_dataset_file, tmp_path, extra)
     assert str(err.value).startswith(f"config line {line}: ")
 
 
+@pytest.mark.parametrize(
+    "dataset, fmt",
+    [("zoo.arff format=xml", "xml"), ("zoo.txt", "txt")],
+    ids=["format-xml", "txt-extension"],
+)
+def test_unknown_dataset_format_is_a_config_error(tmp_path, capsys, dataset, fmt):
+    (tmp_path / "zoo.arff").write_text((DATASETS_DIR / "zoo.arff").read_text())
+    (tmp_path / "zoo.txt").write_text((DATASETS_DIR / "zoo.arff").read_text())
+    out = tmp_path / "out"
+    text = config_text(tmp_path / "tiny.csv", out).replace(
+        "k = 2", f"dataset = {tmp_path / dataset}\nk = 2"
+    )
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if "zoo" in row)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert f"unknown dataset format {fmt!r}" in str(err.value)
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: config line {line}: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_data_with_unknown_extension_exit_two(tmp_path, capsys):
+    data = tmp_path / "zoo.txt"
+    data.write_text((DATASETS_DIR / "zoo.arff").read_text())
+    assert main(["inspect", "--data", str(data)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown dataset format 'txt' for {data}\n"
+    )
+
+
 def test_hash_inside_dataset_path_is_not_a_comment(tmp_path):
     data_dir = tmp_path / "a#b"
     data_dir.mkdir()

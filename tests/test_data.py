@@ -156,13 +156,14 @@ def test_round_trip_real_file():
     np.testing.assert_allclose(d2.values, d.values)
 
 
-_TOKEN_CHARS = "abXYz09_-.+ ,%{}"
+_TOKEN_CHARS = "abXYz09_-.+ ,%{}'\""
 
 
 def _arff_tokens():
-    # names and nominal values, including ones that serialize_arff must quote
+    # names and nominal values, including ones that serialize_arff must
+    # quote; no token holds both quote characters, which ARFF cannot write
     return st.text(alphabet=_TOKEN_CHARS, min_size=1, max_size=5).filter(
-        lambda t: t == t.strip() and t != "?"
+        lambda t: t == t.strip() and t != "?" and not ("'" in t and '"' in t)
     )
 
 
@@ -195,6 +196,29 @@ def test_arff_round_trip_property(d):
     d2 = parse_arff(serialize_arff(d))
     assert d2.attributes == d.attributes
     assert d2.class_attribute == d.class_attribute
+    assert d2.values.tobytes() == d.values.tobytes()
+
+
+@pytest.mark.parametrize("where", ["name", "value", "relation"])
+def test_serialize_arff_rejects_a_token_with_both_quotes(where):
+    both = "it's \"x\""
+    name = both if where == "name" else "x"
+    values = (both, "b") if where == "value" else ("a", "b")
+    d = Dataset([AttributeSpec(name), AttributeSpec("c", values)], np.zeros((1, 2)), 1)
+    with pytest.raises(ValueError, match="both quote characters") as err:
+        serialize_arff(d, both if where == "relation" else "r")
+    assert repr(both) in str(err.value)
+
+
+def test_serialize_arff_quotes_around_the_other_quote():
+    d = Dataset(
+        [AttributeSpec("it's"), AttributeSpec('say "hi"', ("o'k", 'q"'))],
+        np.array([[1.5, 0.0], [2.0, 1.0]]), 1,
+    )
+    text = serialize_arff(d)
+    assert "@attribute \"it's\" numeric" in text
+    d2 = parse_arff(text)
+    assert d2.attributes == d.attributes
     assert d2.values.tobytes() == d.values.tobytes()
 
 

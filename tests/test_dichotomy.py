@@ -277,3 +277,41 @@ def test_text_and_dot_exports():
     model_text = nd.to_model_text()
     assert "node root" in model_text
     assert "logistic" in model_text
+
+
+def _ref_walks(nd):
+    """The recursive walks that ``_preorder`` replaced: internal nodes,
+    ``to_text`` and ``to_model_text``."""
+    internal, text, model = [], [], [
+        f"nested_dichotomy strategy={nd.strategy_id} seed={nd.build_seed}",
+        "classes " + ",".join(nd.class_names),
+    ]
+
+    def walk(node, path):
+        names = ",".join(nd.class_names[c] for c in node.class_subset)
+        text.append("  " * len(path) + f"[{names}]")
+        tag = "".join(map(str, path)) or "root"
+        subset = ",".join(str(c) for c in node.class_subset)
+        if node.is_leaf:
+            model.append(f"leaf {tag} classes={subset}")
+            return
+        internal.append(node)
+        model.append(f"node {tag} classes={subset}")
+        model.extend("  " + line for line in node.model.to_lines())
+        walk(node.left, path + (0,))
+        walk(node.right, path + (1,))
+
+    walk(nd.root, ())
+    return internal, "\n".join(text) + "\n", "\n".join(model) + "\n"
+
+
+@pytest.mark.parametrize("strategy", ["random", "class_balanced", "random_pair"])
+def test_preorder_walks_match_recursive_walks(strategy):
+    rng = np.random.default_rng(5)
+    d = gaussian_dataset(rng.normal(size=(7, 2)) * 4, per_class=6, seed=5)
+    for seed in range(4):
+        nd = build_nd(d, SubsetSelector(strategy), TreeParams(min_instances_per_leaf=1), seed)
+        internal, text, model = _ref_walks(nd)
+        assert [id(n) for n in nd.internal_nodes()] == [id(n) for n in internal]
+        assert nd.to_text() == text
+        assert nd.to_model_text() == model

@@ -398,13 +398,15 @@ _FRACTIONS = (0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.0, 1.5, 2.0, 3.0)
 
 @st.composite
 def _tree_problems(draw):
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(2, 60))
     kinds = draw(st.lists(st.sampled_from(("numeric", "nominal")), min_size=1, max_size=4))
     class_at = draw(st.integers(0, len(kinds)))
     attrs, cols = [], []
     for j, kind in enumerate(kinds):
         if kind == "nominal":
-            size = draw(st.integers(2, 4))
+            # past 8 values a value count's sum leaves numpy's 8-wide
+            # pairwise block
+            size = draw(st.integers(2, 12))
             attrs.append(AttributeSpec(f"n{j}", tuple(f"v{i}" for i in range(size))))
             cols.append(draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)))
         else:
@@ -476,14 +478,27 @@ def _assert_root_candidates_match(d, params):
     # the sums would rarely show in the model text
     _, _, target = binary_class_info(d)
     grower = _Grower(d, target, params)
-    got = grower._numeric_candidates(0, d.n_instances)
+    best = grower._best_tests(0, d.n_instances, np.arange(d.n_instances), d.weights)
+    got = []
+    if best is not None:
+        attrs, gains, split_info, thresholds = best
+        got = list(zip(attrs.tolist(), gains, split_info, thresholds))
     min_leaf = float(params.min_instances_per_leaf)
     want = []
     for attr in grower.numeric:
         cand = _ref_best_numeric(d.values[:, attr], target, d.weights, min_leaf)
         if cand is not None:
             want.append((attr, *cand))
-    assert got == want
+    for attr in grower.nominal:
+        n_values = len(d.attributes[attr].values)
+        cand = _ref_best_nominal(d.values[:, attr], target, d.weights, n_values, min_leaf)
+        if cand is not None:
+            want.append((attr, *cand))
+
+    def bits(cands):
+        return [(attr, *(float(x).hex() for x in c)) for attr, *c in cands]
+
+    assert bits(got) == bits(want)
     assert all(type(c[3]) is np.float64 for c in got)  # model text prints the type
 
 
