@@ -51,12 +51,12 @@ _ENSEMBLE_BUILDERS = {
 @dataclass(frozen=True)
 class DatasetRef:
     path: str
-    format: str = ""  # "arff" or "csv"; taken from the extension when empty
+    format: str = ""  # "arff" or "csv", any case; from the extension when empty
     class_col: int = -1
     header: bool = False
 
     def __post_init__(self):
-        fmt = self.format or Path(self.path).suffix.lstrip(".").lower()
+        fmt = (self.format or Path(self.path).suffix.lstrip(".")).lower()
         if fmt not in ("arff", "csv"):
             raise ValueError(f"unknown dataset format {fmt!r} for {self.path}")
         object.__setattr__(self, "format", fmt)

@@ -28,6 +28,12 @@ once; the datasets derived from it (``subset``, ``restrict_to_classes``,
 node dataset) slice the parent's codes instead, so a derived dataset's
 codes may skip ranks but never reorder.  Datasets, codes included, are
 immutable after construction and safe to share across threads.
+
+Values are validated where they enter the program: ``parse_arff``,
+``parse_csv`` and ``Dataset(...)`` check every value and weight.  A
+derived dataset is built from rows sliced or copied from its validated
+parent and trusts them: nothing is checked again, except the weights
+handed to ``with_weights`` and the row indices handed to ``subset``.
 """
 
 from __future__ import annotations
@@ -91,16 +97,6 @@ class Dataset:
         class_attribute: int,
         weights=None,
     ):
-        self._init(attributes, values, class_attribute, weights, None)
-
-    def _derive(self, attributes, values, weights, codes) -> "Dataset":
-        """A dataset of this one's rows, or a selection of them, whose
-        ``codes`` are sliced from this one's instead of recomputed."""
-        d = object.__new__(Dataset)
-        d._init(attributes, values, self.class_attribute, weights, codes)
-        return d
-
-    def _init(self, attributes, values, class_attribute, weights, codes):
         attributes = tuple(attributes)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2:
@@ -115,17 +111,10 @@ class Dataset:
             raise ValueError("class attribute must be nominal")
         if len(cls_spec.values) < 2:
             raise ValueError("class attribute needs at least 2 declared labels")
-        if weights is None:
-            weights = np.ones(n)
-        else:
-            weights = np.asarray(weights, dtype=np.float64).copy()
-            if weights.shape != (n,):
-                raise ValueError("weights shape does not match instance count")
+        weights = np.ones(n) if weights is None else _checked_weights(weights, n)
         if n:
             if not np.all(np.isfinite(values)):
                 raise ValueError("non-finite attribute value")
-            if not (np.all(np.isfinite(weights)) and np.all(weights > 0)):
-                raise ValueError("instance weights must be finite and > 0")
             for j, spec in enumerate(attributes):
                 if spec.is_nominal:
                     col = values[:, j]
@@ -135,11 +124,20 @@ class Dataset:
                         raise ValueError(
                             f"attribute {spec.name!r}: nominal index out of range"
                         )
+        numeric = [j for j, spec in enumerate(attributes) if not spec.is_nominal]
+        codes = _order_codes(values, numeric)
+        self._fill(attributes, values, class_attribute, weights, codes)
+
+    def _derive(self, attributes, values, weights, codes) -> "Dataset":
+        """A dataset of arrays sliced or copied from this one's.  Trusted:
+        this one was validated, so nothing is checked again."""
+        d = object.__new__(Dataset)
+        d._fill(attributes, values, self.class_attribute, weights, codes)
+        return d
+
+    def _fill(self, attributes, values, class_attribute, weights, codes):
         values.flags.writeable = False
         weights.flags.writeable = False
-        if codes is None:
-            numeric = [j for j, spec in enumerate(attributes) if not spec.is_nominal]
-            codes = _order_codes(values, numeric)
         codes.flags.writeable = False
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "values", values)
@@ -196,7 +194,13 @@ class Dataset:
     # -- derived datasets ----------------------------------------------
 
     def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.intp)
+        """Rows ``indices`` (integers; repeats and negatives as in
+        ``np.take``), in that order."""
+        indices = np.asarray(indices)
+        if indices.dtype.kind not in "iu":
+            if indices.size:
+                raise ValueError(f"subset indices must be integers, not {indices.dtype}")
+            indices = indices.astype(np.intp)
         # take copies whole rows, several times faster than fancy indexing
         return self._derive(
             self.attributes,
@@ -206,26 +210,44 @@ class Dataset:
         )
 
     def with_weights(self, weights) -> "Dataset":
+        weights = _checked_weights(weights, self.n_instances)
         return self._derive(self.attributes, self.values, weights, self.codes)
+
+    def _class_table(self, class_ids) -> np.ndarray:
+        """Boolean table over the declared classes, True at each of
+        ``class_ids``; an id outside ``0..n_classes-1`` marks none, as
+        ``np.isin`` would match no row with it."""
+        ids = np.asarray(list(class_ids), dtype=np.intp)
+        table = np.zeros(self.n_classes, dtype=bool)
+        table[ids[(ids >= 0) & (ids < self.n_classes)]] = True
+        return table
 
     def restrict_to_classes(self, class_ids) -> "Dataset":
         """Rows whose class is in ``class_ids``; attribute specs unchanged."""
-        mask = np.isin(self.class_indices(), np.asarray(list(class_ids), dtype=np.intp))
+        mask = self._class_table(class_ids)[self.class_indices()]
         return self.subset(np.flatnonzero(mask))
 
     def relabel_binary(self, side_one, names: tuple[str, str] = ("s1", "s2")) -> "Dataset":
         """Replace the class attribute with a two-valued one: instances whose
         class is in ``side_one`` get label 0, the rest label 1."""
-        side_one = np.asarray(sorted(side_one), dtype=np.intp)
-        y = self.class_indices()
-        binary = np.where(np.isin(y, side_one), 0.0, 1.0)
+        labels = np.where(self._class_table(side_one), 0.0, 1.0)
         attrs = list(self.attributes)
         attrs[self.class_attribute] = AttributeSpec(
             attrs[self.class_attribute].name, names
         )
         values = self.values.copy()
-        values[:, self.class_attribute] = binary
-        return self._derive(attrs, values, self.weights, self.codes)
+        values[:, self.class_attribute] = labels[self.class_indices()]
+        return self._derive(tuple(attrs), values, self.weights, self.codes)
+
+
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """A float copy of ``weights``: ``n`` of them, each finite and > 0."""
+    weights = np.asarray(weights, dtype=np.float64).copy()
+    if weights.shape != (n,):
+        raise ValueError("weights shape does not match instance count")
+    if not (np.all(np.isfinite(weights)) and np.all(weights > 0)):
+        raise ValueError("instance weights must be finite and > 0")
+    return weights
 
 
 def _order_codes(values: np.ndarray, columns) -> np.ndarray:

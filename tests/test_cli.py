@@ -265,6 +265,26 @@ def test_unknown_dataset_format_is_a_config_error(tmp_path, capsys, dataset, fmt
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "dataset, fmt",
+    [
+        ("zoo.arff format=ARFF", "arff"),
+        ("tiny.csv format=Csv", "csv"),
+        ("zoo.ARFF", "arff"),
+    ],
+    ids=["format-ARFF", "format-Csv", "ARFF-extension"],
+)
+def test_dataset_format_case_is_ignored(tmp_path, dataset, fmt):
+    # a format token and a file extension follow one rule: case is ignored
+    (tmp_path / "zoo.arff").write_text((DATASETS_DIR / "zoo.arff").read_text())
+    (tmp_path / "zoo.ARFF").write_text((DATASETS_DIR / "zoo.arff").read_text())
+    (tmp_path / "tiny.csv").write_text(TINY_CSV)
+    text = f"dataset = {tmp_path / dataset} class_col=2\nmethod = name=nd\n"
+    ref = parse_config(text).datasets[0]
+    assert ref.format == fmt
+    assert ref.load().n_instances == (101 if fmt == "arff" else 16)
+
+
 def test_cli_data_with_unknown_extension_exit_two(tmp_path, capsys):
     data = tmp_path / "zoo.txt"
     data.write_text((DATASETS_DIR / "zoo.arff").read_text())

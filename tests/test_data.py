@@ -299,17 +299,78 @@ def test_parse_csv_empty():
 
 def test_dataset_rejects_bad_weights():
     attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b"))]
-    values = np.array([[1.0, 0.0]])
-    with pytest.raises(ValueError):
-        Dataset(attrs, values, 1, weights=np.array([0.0]))
-    with pytest.raises(ValueError):
-        Dataset(attrs, values, 1, weights=np.array([np.inf]))
+    values = np.array([[1.0, 0.0], [2.0, 1.0]])
+    d = Dataset(attrs, values, 1)
+    # with_weights checks the weights it is given, the one check left on
+    # a derivation
+    for weights, message in [
+        ([0.0, 1.0], "finite and > 0"),
+        ([1.0, -2.0], "finite and > 0"),
+        ([np.nan, 1.0], "finite and > 0"),
+        ([1.0, np.inf], "finite and > 0"),
+        ([1.0, -np.inf], "finite and > 0"),
+        ([1.0], "shape does not match"),
+        ([1.0, 1.0, 1.0], "shape does not match"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Dataset(attrs, values, 1, weights=np.array(weights))
+        with pytest.raises(ValueError, match=message):
+            d.with_weights(weights)
+    assert d.with_weights([0.5, 2.0]).weights.tolist() == [0.5, 2.0]
 
 
 def test_dataset_rejects_out_of_range_nominal():
     attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b"))]
     with pytest.raises(ValueError):
         Dataset(attrs, np.array([[1.0, 2.0]]), 1)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [np.array([True, False, True]), [2.7], np.array([0.0, 2.0]), [None]],
+    ids=["bool-mask", "float-list", "float-array", "object"],
+)
+def test_subset_rejects_non_integer_indices(index):
+    # a boolean mask or float positions would be read as row numbers
+    d = parse_csv("1,a\n2,b\n3,a\n", 1)
+    dtype = np.asarray(index).dtype
+    with pytest.raises(ValueError, match=f"integers, not {dtype}"):
+        d.subset(index)
+    assert d.subset([]).n_instances == 0
+    assert d.subset(np.array([2, 0], dtype=np.uint8)).values[:, 0].tolist() == [3.0, 1.0]
+
+
+def _labelled(labels, n_classes):
+    attrs = [AttributeSpec("x"), AttributeSpec("c", tuple("abcdef"[:n_classes]))]
+    values = np.column_stack([np.arange(len(labels)), labels]).reshape(-1, 2)
+    return Dataset(attrs, values, 1)
+
+
+@st.composite
+def _labelled_and_ids(draw):
+    n_classes = draw(st.integers(2, 6))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), max_size=15))
+    ids = draw(st.lists(st.integers(-3, n_classes + 3), max_size=8))
+    return _labelled(labels, n_classes), ids
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(_labelled([2, 0, 1], 3), [-1, -3, 3]))  # -1 must not reach class 2
+@given(_labelled_and_ids())
+def test_class_selections_match_isin(case):
+    # the np.isin formulas these replaced; an id outside the declared
+    # classes, negative ones included, matches no row
+    d, ids = case
+    y = d.class_indices()
+    rows = np.flatnonzero(np.isin(y, np.asarray(ids, dtype=np.intp)))
+    kept = d.restrict_to_classes(ids)
+    assert kept.values.tobytes() == d.values[rows].tobytes()
+    assert kept.weights.tobytes() == d.weights[rows].tobytes()
+    relabeled = d.relabel_binary(ids)
+    binary = np.where(np.isin(y, np.asarray(sorted(ids), dtype=np.intp)), 0.0, 1.0)
+    assert relabeled.values[:, 1].tobytes() == binary.tobytes()
+    assert relabeled.values[:, 0].tobytes() == d.values[:, 0].tobytes()
+    assert relabeled.class_names == ("s1", "s2")
 
 
 def test_dataset_immutable():
@@ -408,6 +469,14 @@ def test_derived_codes_order_and_tie_as_values(chain):
             d = _derive(d, step, draws)
         numeric = [j for j, a in enumerate(d.attributes) if not a.is_nominal]
         assert not d.codes.flags.writeable
+        assert not d.values.flags.writeable and not d.weights.flags.writeable
+        # trusted, yet valid: building it anew accepts it and ranks each
+        # column as the inherited codes do, up to the ranks they skip
+        fresh = Dataset(d.attributes, d.values, d.class_attribute, d.weights)
+        assert fresh.weights.tobytes() == d.weights.tobytes()
+        for c in range(len(numeric)):
+            dense = np.unique(d.codes[:, c], return_inverse=True)[1]
+            assert np.array_equal(fresh.codes[:, c], dense)
         assert d.codes.dtype == np.uint16 and d.codes.shape == (d.n_instances, len(numeric))
         # inherited: each row keeps the codes of the row it came from
         origin = d.values[:, numeric[-1]].astype(np.intp)
