@@ -34,11 +34,9 @@ from .ensemble import (
 )
 from .errors import ConfigError, NDError
 from .evaluation import CVResult, corrected_t, format_results_table, run_cv
-from .learners import LogisticParams, TreeParams
+from .learners import LearnerParams, LogisticParams, TreeParams
 from .seeds import child_seed
 from .selection import STRATEGIES, SubsetSelector
-
-ENSEMBLE_KINDS = ("none", "random", "bagging", "adaboost", "multiboost")
 
 _ENSEMBLE_BUILDERS = {
     "random": build_random_ensemble,
@@ -46,6 +44,27 @@ _ENSEMBLE_BUILDERS = {
     "adaboost": build_adaboost_ensemble,
     "multiboost": build_multiboost_ensemble,
 }
+
+ENSEMBLE_KINDS = ("none", *_ENSEMBLE_BUILDERS)
+
+# learner name -> (params type, {method token: params field}); the params
+# type owns each option's default and its check
+_LEARNERS = {
+    "logistic": (
+        LogisticParams,
+        {"ridge": "ridge", "max_iter": "max_iterations", "tol": "gradient_tolerance"},
+    ),
+    "tree": (
+        TreeParams,
+        {
+            "min_leaf": "min_instances_per_leaf",
+            "cf": "pruning_confidence",
+            "gain_ratio": "use_gain_ratio",
+            "prune": "prune",
+        },
+    ),
+}
+_DEFAULT_LEARNER = "logistic"
 
 
 @dataclass(frozen=True)
@@ -76,56 +95,27 @@ class DatasetRef:
 class MethodSpec:
     name: str
     strategy_id: str = "random_pair"
-    learner_kind: str = "logistic"
+    learner: LearnerParams = LogisticParams()
     ensemble_kind: str = "none"
     size: int = 1
-    ridge: float = 1e-8
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-8
-    min_leaf: int = 2
-    pruning_confidence: float = 0.25
-    use_gain_ratio: bool = True
-    prune: bool = True
     subsample_cap: int | None = None  # overrides the experiment default
 
     def __post_init__(self):
-        if self.strategy_id not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy_id!r}")
-        if self.learner_kind not in ("logistic", "tree"):
-            raise ValueError(f"unknown learner {self.learner_kind!r}")
+        SubsetSelector(self.strategy_id, self.subsample_cap)
         if self.ensemble_kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.ensemble_kind!r}")
         if self.size < 1:
             raise ValueError("ensemble size must be >= 1")
-        if self.subsample_cap is not None and self.subsample_cap < 1:
-            raise ValueError("cap must be >= 1")
-
-    def learner_params(self):
-        if self.learner_kind == "logistic":
-            return LogisticParams(
-                ridge=self.ridge,
-                max_iterations=self.max_iterations,
-                gradient_tolerance=self.gradient_tolerance,
-            )
-        return TreeParams(
-            min_instances_per_leaf=self.min_leaf,
-            pruning_confidence=self.pruning_confidence,
-            use_gain_ratio=self.use_gain_ratio,
-            prune=self.prune,
-        )
 
     def make_builder(self, default_cap: int | None):
         cap = self.subsample_cap if self.subsample_cap is not None else default_cap
-        strategy = SubsetSelector(
-            self.strategy_id, cap if self.strategy_id == "random_pair" else None
-        )
-        learner = self.learner_params()
+        strategy = SubsetSelector(self.strategy_id, cap)
 
         def builder(train: Dataset, seed: int):
             if self.ensemble_kind == "none":
-                return build_nd(train, strategy, learner, seed)
+                return build_nd(train, strategy, self.learner, seed)
             build = _ENSEMBLE_BUILDERS[self.ensemble_kind]
-            return build(train, strategy, learner, self.size, seed)
+            return build(train, strategy, self.learner, self.size, seed)
 
         return builder
 
@@ -218,43 +208,52 @@ def _parse_tokens(text: str, lineno: int) -> dict[str, str]:
     return out
 
 
+# method token -> (MethodSpec field, converter); learner options come from
+# the learner's row of _LEARNERS
+_METHOD_TOKENS = {
+    "name": ("name", str),
+    "strategy": ("strategy_id", str),
+    "ensemble": ("ensemble_kind", str),
+    "size": ("size", int),
+    "cap": ("subsample_cap", int),
+}
+
+
+def _convert(key: str, value: str, convert, lineno: int):
+    if convert is bool:
+        return _parse_bool(value, lineno)
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ConfigError(lineno, f"bad value for {key}: {exc}") from None
+
+
 def _method_from_tokens(tokens: dict[str, str], lineno: int) -> MethodSpec:
-    converters = {
-        "name": str,
-        "strategy": str,
-        "learner": str,
-        "ensemble": str,
-        "size": int,
-        "ridge": float,
-        "max_iter": int,
-        "tol": float,
-        "min_leaf": int,
-        "cf": float,
-        "gain_ratio": lambda v: _parse_bool(v, lineno),
-        "prune": lambda v: _parse_bool(v, lineno),
-        "cap": int,
-    }
-    rename = {
-        "strategy": "strategy_id",
-        "learner": "learner_kind",
-        "ensemble": "ensemble_kind",
-        "max_iter": "max_iterations",
-        "tol": "gradient_tolerance",
-        "cf": "pruning_confidence",
-        "cap": "subsample_cap",
-    }
     if "name" not in tokens:
         raise ConfigError(lineno, "method needs a name=... token")
-    kwargs = {}
+    kind = tokens.get("learner", _DEFAULT_LEARNER)
+    if kind not in _LEARNERS:
+        raise ConfigError(lineno, f"unknown learner {kind!r}")
+    params_type, options = _LEARNERS[kind]
+    defaults = params_type()
+    spec, params = {}, {}
     for key, value in tokens.items():
-        if key not in converters:
-            raise ConfigError(lineno, f"unknown method option {key!r}")
-        try:
-            kwargs[rename.get(key, key)] = converters[key](value)
-        except ValueError as exc:
-            raise ConfigError(lineno, f"bad value for {key}: {exc}") from None
+        if key == "learner":
+            continue
+        if key in _METHOD_TOKENS:
+            field_name, convert = _METHOD_TOKENS[key]
+            spec[field_name] = _convert(key, value, convert, lineno)
+        elif key in options:
+            field_name = options[key]
+            convert = type(getattr(defaults, field_name))
+            params[field_name] = _convert(key, value, convert, lineno)
+        else:
+            owner = next((k for k, (_, o) in _LEARNERS.items() if key in o), None)
+            if owner is None:
+                raise ConfigError(lineno, f"unknown method option {key!r}")
+            raise ConfigError(lineno, f"{key!r} is a {owner} option, not a {kind} one")
     try:
-        return MethodSpec(**kwargs)
+        return MethodSpec(learner=params_type(**params), **spec)
     except ValueError as exc:
         raise ConfigError(lineno, str(exc)) from None
 
@@ -457,12 +456,6 @@ def _load_data_args(paths) -> list[tuple[str, Dataset]]:
     return [(ref.dataset_id, ref.load()) for ref in refs]
 
 
-def _learner_from_args(args):
-    if args.learner == "tree":
-        return TreeParams()
-    return LogisticParams()
-
-
 def _cmd_space(args) -> int:
     lines = [
         f"{row.c},{row.full},{row.balanced},{round(row.random_pair_estimate)}"
@@ -474,9 +467,10 @@ def _cmd_space(args) -> int:
 
 def _cmd_splits(args) -> int:
     lines = []
+    learner = _LEARNERS[args.learner][0]()
     for name, d in _load_data_args(args.data):
         census = enumerate_splits(
-            d, d.classes_present(), _learner_from_args(args), cap=args.cap, seed=args.seed
+            d, d.classes_present(), learner, cap=args.cap, seed=args.seed
         )
         lines.append(f"{census.n_classes},{census.distinct}")
         print(
@@ -492,7 +486,7 @@ def _cmd_proportions(args) -> int:
     datasets = [d for _, d in _load_data_args(args.data)]
     strategy = SubsetSelector("random_pair", args.cap)
     mean = measure_subset_proportions(
-        datasets, strategy, _learner_from_args(args), args.trees, args.seed
+        datasets, strategy, _LEARNERS[args.learner][0](), args.trees, args.seed
     )
     _emit([f"{mean:.6f}"], args.out)
     return 0
@@ -501,7 +495,7 @@ def _cmd_proportions(args) -> int:
 def _cmd_inspect(args) -> int:
     [(_, d)] = _load_data_args([args.data])
     strategy = SubsetSelector(args.strategy, args.cap)
-    nd = build_nd(d, strategy, _learner_from_args(args), args.seed)
+    nd = build_nd(d, strategy, _LEARNERS[args.learner][0](), args.seed)
     _emit([(nd.to_dot() if args.dot else nd.to_text()).rstrip("\n")], args.out)
     return 0
 
@@ -564,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("splits", help="distinct random-pair splits per dataset")
     p.add_argument("--data", action="append", required=True)
-    p.add_argument("--learner", choices=("logistic", "tree"), default="logistic")
+    p.add_argument("--learner", choices=tuple(_LEARNERS), default=_DEFAULT_LEARNER)
     p.add_argument("--cap", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -573,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("proportions", help="mean smaller-subset share")
     p.add_argument("--data", action="append", required=True)
     p.add_argument("--trees", type=int, default=20)
-    p.add_argument("--learner", choices=("logistic", "tree"), default="logistic")
+    p.add_argument("--learner", choices=tuple(_LEARNERS), default=_DEFAULT_LEARNER)
     p.add_argument("--cap", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -582,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="dump one tree's structure")
     p.add_argument("--data", required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default="random_pair")
-    p.add_argument("--learner", choices=("logistic", "tree"), default="logistic")
+    p.add_argument("--learner", choices=tuple(_LEARNERS), default=_DEFAULT_LEARNER)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int)
     p.add_argument("--dot", action="store_true")

@@ -98,7 +98,8 @@ class Dataset:
         weights=None,
     ):
         attributes = tuple(attributes)
-        values = np.ascontiguousarray(values, dtype=np.float64)
+        # a copy: the dataset freezes its arrays and must not alias the caller's
+        values = np.array(values, dtype=np.float64, order="C")
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array")
         n, m = values.shape
@@ -177,7 +178,7 @@ class Dataset:
         )
 
     def classes_present(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.class_counts() > 0))
+        return tuple(np.flatnonzero(self.class_counts() > 0).tolist())
 
     def instance(self, i: int) -> Instance:
         return Instance(self.values[i], float(self.weights[i]))

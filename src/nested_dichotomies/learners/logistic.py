@@ -31,9 +31,12 @@ class LogisticParams:
     gradient_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.ridge < 0:
+        # written so that NaN fails the checks
+        if not self.ridge >= 0:
             raise ValueError("ridge must be >= 0")
-        if self.gradient_tolerance <= 0:
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not self.gradient_tolerance > 0:
             raise ValueError("gradient tolerance must be > 0")
 
 

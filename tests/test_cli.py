@@ -12,6 +12,7 @@ from nested_dichotomies.cli import (
 )
 from nested_dichotomies.data import serialize_arff
 from nested_dichotomies.errors import ConfigError
+from nested_dichotomies.learners import LogisticParams
 
 TINY_CSV = "\n".join(
     f"{x},{y},{'a' if x + y < 2 else 'b' if x < 2 else 'c'}"
@@ -187,24 +188,26 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, extra, flags",
+    "command, extra, flags, reason",
     [
-        ("evaluate", "method = name=capped strategy=random_pair learner=tree cap=0", []),
-        ("evaluate", "subsample_cap = 0", []),
-        ("evaluate", "jobs = 0", []),
-        ("evaluate", "", ["--jobs", "-1"]),
-        ("inspect", "", ["--cap", "0"]),
-        ("train", "", ["--method", "name=m", "--cap", "0"]),
-        ("splits", "", ["--cap", "0"]),
-        ("proportions", "", ["--cap", "-3"]),
+        ("evaluate", "method = name=capped strategy=random_pair learner=tree cap=0", [],
+         "must be >= 1"),
+        ("evaluate", "subsample_cap = 0", [], "must be >= 1"),
+        ("evaluate", "jobs = 0", [], "must be >= 1"),
+        ("evaluate", "", ["--jobs", "-1"], "must be >= 1"),
+        ("inspect", "", ["--cap", "0"], "must be >= 1"),
+        ("train", "", ["--method", "name=m", "--cap", "0"], "must be >= 1"),
+        ("splits", "", ["--cap", "0"], "must be >= 1"),
+        ("proportions", "", ["--cap", "-3"], "must be >= 1"),
+        ("train", "", ["--method", "name=m ridge=-1"], "ridge must be >= 0"),
     ],
     ids=[
         "method-cap", "subsample_cap", "jobs", "jobs-flag",
-        "inspect-cap", "train-cap", "splits-cap", "proportions-cap",
+        "inspect-cap", "train-cap", "splits-cap", "proportions-cap", "train-ridge",
     ],
 )
 def test_cli_value_below_one_exit_two(
-    tiny_dataset_file, tmp_path, capsys, command, extra, flags
+    tiny_dataset_file, tmp_path, capsys, command, extra, flags, reason
 ):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(config_text(tiny_dataset_file, tmp_path / "out", extra))
@@ -214,28 +217,56 @@ def test_cli_value_below_one_exit_two(
         source = ["--data", str(tiny_dataset_file)]
     assert main([command, *source, *flags]) == 2
     captured = capsys.readouterr()
-    assert "must be >= 1" in captured.err
+    assert captured.err.startswith("config error: ")
+    assert reason in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "extra, reason",
     [
-        "jobs = 0",
-        "subsample_cap = 0",
-        "reference = missing",
-        "method = name=nd strategy=random learner=logistic",  # repeats "nd"
+        ("jobs = 0", "jobs must be >= 1"),
+        ("subsample_cap = 0", "subsample_cap must be >= 1"),
+        ("reference = missing", "reference method 'missing' not in the method list"),
+        # repeats "nd"
+        ("method = name=nd strategy=random learner=logistic", "'nd' repeats"),
+        ("method = name=m learner=logistic ridge=-1", "ridge must be >= 0"),
+        ("method = name=m learner=logistic tol=0", "tolerance must be > 0"),
+        ("method = name=m tol=nan", "tolerance must be > 0"),
+        ("method = name=m learner=logistic max_iter=0", "max_iterations must be >= 1"),
+        ("method = name=m learner=tree min_leaf=0", "min_instances_per_leaf must be >= 1"),
+        ("method = name=m learner=tree cf=0", "pruning_confidence must be in (0, 0.5]"),
+        ("method = name=m learner=tree cf=0.9", "pruning_confidence must be in (0, 0.5]"),
+        ("method = name=m learner=logistic min_leaf=7 cf=0.4",
+         "'min_leaf' is a tree option, not a logistic one"),
+        ("method = name=m learner=tree ridge=1", "'ridge' is a logistic option, not a tree one"),
     ],
-    ids=["jobs", "subsample_cap", "reference", "duplicate-method"],
+    ids=[
+        "jobs", "subsample_cap", "reference", "duplicate-method",
+        "ridge", "tol", "tol-nan", "max_iter", "min_leaf", "cf-zero", "cf-high",
+        "tree-option-on-logistic", "ridge-on-tree",
+    ],
 )
-def test_config_value_error_reports_its_line(tiny_dataset_file, tmp_path, extra):
-    text = config_text(tiny_dataset_file, tmp_path / "out", extra)
+def test_config_value_error_reports_its_line(
+    tiny_dataset_file, tmp_path, capsys, extra, reason
+):
+    out = tmp_path / "out"
+    text = config_text(tiny_dataset_file, out, extra)
     line = text.splitlines().index(extra) + 1
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.line == line
     assert str(err.value).startswith(f"config line {line}: ")
+    assert reason in str(err.value)
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {err.value}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -352,7 +383,7 @@ def test_zoo_single_rpnd_logistic_accuracy_band(tmp_path):
     cfg = ExperimentConfig(
         datasets=(DatasetRef(str(DATASETS_DIR / "zoo.arff")),),
         methods=(
-            MethodSpec(name="rpnd", strategy_id="random_pair", learner_kind="logistic"),
+            MethodSpec(name="rpnd", strategy_id="random_pair", learner=LogisticParams()),
         ),
         k=10,
         repeats=10,

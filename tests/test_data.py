@@ -381,6 +381,17 @@ def test_dataset_immutable():
         d.class_attribute = 0
 
 
+def test_dataset_copies_the_callers_values():
+    # the dataset freezes its values, so it must neither alias nor freeze
+    # a C-contiguous float64 array handed to it
+    attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b"))]
+    v = np.array([[1.0, 0.0], [2.0, 1.0]])
+    d = Dataset(attrs, v, 1)
+    assert d.values is not v and v.flags.writeable
+    v[0, 0] = 5.0
+    assert d.values[0, 0] == 1.0
+
+
 # -- order codes ----------------------------------------------------------
 
 
