@@ -32,7 +32,7 @@ from .ensemble import (
     build_multiboost_ensemble,
     build_random_ensemble,
 )
-from .errors import ConfigError, NDError
+from .errors import ConfigError, InvalidParam, NDError
 from .evaluation import CVResult, corrected_t, format_results_table, run_cv
 from .learners import LearnerParams, LogisticParams, TreeParams
 from .seeds import child_seed
@@ -105,7 +105,7 @@ class MethodSpec:
         if self.ensemble_kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.ensemble_kind!r}")
         if self.size < 1:
-            raise ValueError("ensemble size must be >= 1")
+            raise InvalidParam("size", "must be >= 1")
 
     def make_builder(self, default_cap: int | None):
         cap = self.subsample_cap if self.subsample_cap is not None else default_cap
@@ -254,6 +254,11 @@ def _method_from_tokens(tokens: dict[str, str], lineno: int) -> MethodSpec:
             raise ConfigError(lineno, f"{key!r} is a {owner} option, not a {kind} one")
     try:
         return MethodSpec(learner=params_type(**params), **spec)
+    except InvalidParam as exc:
+        # name the option by its token, not by the field that checks it
+        token = {f: t for t, (f, _) in _METHOD_TOKENS.items()}
+        token.update((f, t) for t, f in options.items())
+        raise ConfigError(lineno, f"{token[exc.field]} {exc.requirement}") from None
     except ValueError as exc:
         raise ConfigError(lineno, str(exc)) from None
 

@@ -78,6 +78,17 @@ class TrainingError(NDError):
         super().__init__(f"training failed at node {self.class_subset}: {cause}")
 
 
+class InvalidParam(ValueError):
+    """An option out of its range.  ``field`` names the option as the
+    object that checks it spells it, ``requirement`` says what it must be,
+    so a caller that knows the option by another name can say it so."""
+
+    def __init__(self, field: str, requirement: str):
+        self.field = field
+        self.requirement = requirement
+        super().__init__(f"{field} {requirement}")
+
+
 class ConfigError(NDError):
     """Experiment configuration problem. Carries the config line number
     (0 when the problem is not tied to a specific line)."""

@@ -13,12 +13,13 @@ ridge), so the optimizer is deterministic and the fit reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import Dataset
-from ..errors import DidNotConverge
+from ..errors import DidNotConverge, InvalidParam
 from .base import BinaryModel, FeatureEncoder, binary_class_info
 
 _MAX_HALVINGS = 50
@@ -32,12 +33,12 @@ class LogisticParams:
 
     def __post_init__(self):
         # written so that NaN fails the checks
-        if not self.ridge >= 0:
-            raise ValueError("ridge must be >= 0")
+        if not 0.0 <= self.ridge < math.inf:
+            raise InvalidParam("ridge", "must be >= 0 and finite")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.gradient_tolerance > 0:
-            raise ValueError("gradient tolerance must be > 0")
+            raise InvalidParam("max_iterations", "must be >= 1")
+        if not 0.0 < self.gradient_tolerance < math.inf:
+            raise InvalidParam("gradient_tolerance", "must be > 0 and finite")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -67,14 +68,16 @@ def _nll_at(z, beta, target, sample_weights, ridge) -> float:
     return float(sample_weights @ losses + 0.5 * (ridge @ (beta * beta)))
 
 
-def _grad_at(p, beta, X, target, sample_weights, ridge) -> np.ndarray:
+def _grad_at(p, beta, X, target, sample_weights, ridge, out=None) -> np.ndarray:
     """:func:`penalized_nll_grad` given the probabilities
-    ``p = sigmoid(z)`` of ``beta`` and the per-coefficient ``ridge``."""
+    ``p = sigmoid(z)`` of ``beta`` and the per-coefficient ``ridge``;
+    written into ``out`` (shaped like ``beta``) when given."""
     r = sample_weights * (p - target)
-    g = np.empty_like(beta)
+    g = np.empty_like(beta) if out is None else out
     g[0] = r.sum()
-    g[1:] = X.T @ r
-    return g + ridge * beta
+    np.matmul(X.T, r, out=g[1:])
+    g += ridge * beta
+    return g
 
 
 def penalized_nll(beta, X, target, sample_weights, ridge) -> float:
@@ -131,6 +134,12 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
     and stops when the standardized gradient inf-norm reaches the
     tolerance; returned weights are in the original basis.  Raises
     DidNotConverge (carrying the partial model) at the iteration cap.
+
+    Each call allocates one workspace after standardization: the
+    curvature-weighted design ``Xc``, the Hessian and the gradient.
+    Every iteration rebuilds all of the Hessian and the gradient in
+    place, with the same operations in the same order as freshly
+    allocated arrays would take, so a fit's bits do not depend on it.
     """
     lo, hi, target = binary_class_info(d)
     encoder = FeatureEncoder(d.attributes, d.class_attribute)
@@ -140,20 +149,26 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
     # Standardize with weighted moments; constant columns keep scale 1.
     total = m.sum()
     mu = (m @ raw) / total
-    var = (m @ (raw - mu) ** 2) / total
+    X = raw - mu
+    var = (m @ X**2) / total
     scale = np.sqrt(var)
     scale[scale <= 0] = 1.0
-    X = (raw - mu) / scale
+    X /= scale
 
     p_dim = X.shape[1] + 1
     beta = np.zeros(p_dim)
     # ridge on original-basis weights w = ws / scale
     ridge_diag = np.concatenate(([0.0], params.ridge / scale**2))
 
+    # the per-fit workspace; hess_diag is a strided view of the diagonal
+    Xc = np.empty_like(X)
+    hess = np.empty((p_dim, p_dim))
+    hess_diag = hess.reshape(-1)[:: p_dim + 1]
+    g = np.empty(p_dim)
+
     # One linear predictor and one sigmoid per iterate: the accepted line
     # search candidate's z is the next iterate's, and its p feeds both the
     # gradient and the Hessian weights.
-    diag = np.diag_indices(p_dim)
     z = _linear(beta, X)
     obj = _nll_at(z, beta, target, m, ridge_diag)
     iterations = 0
@@ -161,31 +176,33 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
     stationary_streak = 0
     for iterations in range(1, params.max_iterations + 1):
         p = _sigmoid(z)
-        g = _grad_at(p, beta, X, target, m, ridge_diag)
+        _grad_at(p, beta, X, target, m, ridge_diag, out=g)
         if np.abs(g).max() <= params.gradient_tolerance:
             converged = True
             iterations -= 1
             break
         curv = m * np.maximum(p * (1.0 - p), 1e-12)
-        Xc = X * curv[:, None]
-        hess = np.empty((p_dim, p_dim))
+        np.multiply(X, curv[:, None], out=Xc)
         hess[0, 0] = curv.sum()
-        hess[0, 1:] = hess[1:, 0] = Xc.sum(axis=0)
-        hess[1:, 1:] = X.T @ Xc
-        hess[diag] += ridge_diag
+        Xc.sum(axis=0, out=hess[0, 1:])
+        hess[1:, 0] = hess[0, 1:]
+        np.matmul(X.T, Xc, out=hess[1:, 1:])
+        hess_diag += ridge_diag
         try:
             step = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, -g, rcond=None)[0]
 
+        # alpha = 1 first: 1.0 * step is step, bit for bit
+        cand = beta + step
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand = beta + alpha * step
             cand_z = _linear(cand, X)
             cand_obj = _nll_at(cand_z, cand, target, m, ridge_diag)
             if cand_obj < obj:
                 break
             alpha *= 0.5
+            cand = beta + alpha * step
         else:
             # No strictly decreasing step of any size exists: the iterate
             # is the double-precision optimum, even if the (noise-level)
@@ -203,7 +220,7 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
             converged = True
             break
     else:
-        g = _grad_at(_sigmoid(z), beta, X, target, m, ridge_diag)
+        _grad_at(_sigmoid(z), beta, X, target, m, ridge_diag, out=g)
         converged = np.abs(g).max() <= params.gradient_tolerance
 
     weights = beta[1:] / scale

@@ -45,6 +45,7 @@ import numpy as np
 
 from .._special import ndtri
 from ..data import Dataset
+from ..errors import InvalidParam
 from .base import BinaryModel, binary_class_info
 
 _EPS = 1e-12
@@ -59,9 +60,9 @@ class TreeParams:
 
     def __post_init__(self):
         if self.min_instances_per_leaf < 1:
-            raise ValueError("min_instances_per_leaf must be >= 1")
+            raise InvalidParam("min_instances_per_leaf", "must be >= 1")
         if not 0.0 < self.pruning_confidence <= 0.5:
-            raise ValueError("pruning_confidence must be in (0, 0.5]")
+            raise InvalidParam("pruning_confidence", "must be in (0, 0.5]")
 
 
 class _Node:

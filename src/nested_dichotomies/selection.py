@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyClass
+from .errors import EmptyClass, InvalidParam
 from .learners import LearnerParams, fit_binary_model
 from .learners.centroid import class_means
 from .seeds import rng_from
@@ -221,7 +221,7 @@ class SubsetSelector:
         if self.strategy_id not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy_id!r}")
         if self.subsample_cap is not None and self.subsample_cap < 1:
-            raise ValueError("subsample_cap must be >= 1")
+            raise InvalidParam("subsample_cap", "must be >= 1")
 
     def select(
         self,

@@ -200,10 +200,14 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
         ("splits", "", ["--cap", "0"], "must be >= 1"),
         ("proportions", "", ["--cap", "-3"], "must be >= 1"),
         ("train", "", ["--method", "name=m ridge=-1"], "ridge must be >= 0"),
+        ("train", "", ["--method", "name=m ridge=inf"], "ridge must be >= 0 and finite"),
+        ("train", "", ["--method", "name=m ridge=nan"], "ridge must be >= 0 and finite"),
+        ("train", "", ["--method", "name=m tol=inf"], "tol must be > 0 and finite"),
     ],
     ids=[
         "method-cap", "subsample_cap", "jobs", "jobs-flag",
         "inspect-cap", "train-cap", "splits-cap", "proportions-cap", "train-ridge",
+        "train-ridge-inf", "train-ridge-nan", "train-tol-inf",
     ],
 )
 def test_cli_value_below_one_exit_two(
@@ -231,21 +235,26 @@ def test_cli_value_below_one_exit_two(
         ("reference = missing", "reference method 'missing' not in the method list"),
         # repeats "nd"
         ("method = name=nd strategy=random learner=logistic", "'nd' repeats"),
-        ("method = name=m learner=logistic ridge=-1", "ridge must be >= 0"),
-        ("method = name=m learner=logistic tol=0", "tolerance must be > 0"),
-        ("method = name=m tol=nan", "tolerance must be > 0"),
-        ("method = name=m learner=logistic max_iter=0", "max_iterations must be >= 1"),
-        ("method = name=m learner=tree min_leaf=0", "min_instances_per_leaf must be >= 1"),
-        ("method = name=m learner=tree cf=0", "pruning_confidence must be in (0, 0.5]"),
-        ("method = name=m learner=tree cf=0.9", "pruning_confidence must be in (0, 0.5]"),
+        # a params check is reported under the option's token, not its field
+        ("method = name=m learner=logistic ridge=-1", "ridge must be >= 0 and finite"),
+        ("method = name=m learner=logistic tol=0", "tol must be > 0 and finite"),
+        ("method = name=m tol=nan", "tol must be > 0 and finite"),
+        ("method = name=m learner=logistic max_iter=0", "max_iter must be >= 1"),
+        ("method = name=m learner=tree min_leaf=0", "min_leaf must be >= 1"),
+        ("method = name=m learner=tree cf=0", "cf must be in (0, 0.5]"),
+        ("method = name=m learner=tree cf=0.9", "cf must be in (0, 0.5]"),
         ("method = name=m learner=logistic min_leaf=7 cf=0.4",
          "'min_leaf' is a tree option, not a logistic one"),
         ("method = name=m learner=tree ridge=1", "'ridge' is a logistic option, not a tree one"),
+        ("method = name=m ridge=inf", "ridge must be >= 0 and finite"),
+        ("method = name=m tol=inf", "tol must be > 0 and finite"),
+        ("method = name=m strategy=random_pair cap=0", "cap must be >= 1"),
+        ("method = name=m ensemble=bagging size=0", "size must be >= 1"),
     ],
     ids=[
         "jobs", "subsample_cap", "reference", "duplicate-method",
         "ridge", "tol", "tol-nan", "max_iter", "min_leaf", "cf-zero", "cf-high",
-        "tree-option-on-logistic", "ridge-on-tree",
+        "tree-option-on-logistic", "ridge-on-tree", "ridge-inf", "tol-inf", "cap", "size",
     ],
 )
 def test_config_value_error_reports_its_line(
@@ -258,7 +267,8 @@ def test_config_value_error_reports_its_line(
         parse_config(text)
     assert err.value.line == line
     assert str(err.value).startswith(f"config line {line}: ")
-    assert reason in str(err.value)
+    # anchored after the line number, so "cap" does not match "subsample_cap"
+    assert f": {reason}" in str(err.value)
 
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)

@@ -5,10 +5,16 @@ from hypothesis import strategies as st
 
 from conftest import gaussian_dataset, simple_dataset
 from nested_dichotomies.data import AttributeSpec, Dataset
-from nested_dichotomies.errors import DidNotConverge, EncodingMismatch, SingleClass
+from nested_dichotomies.errors import (
+    DidNotConverge,
+    EncodingMismatch,
+    InvalidParam,
+    SingleClass,
+)
 from nested_dichotomies.learners import LogisticParams, fit_logistic
 from nested_dichotomies.learners.base import FeatureEncoder, binary_class_info
 from nested_dichotomies.learners.logistic import (
+    _grad_at,
     _sigmoid,
     penalized_nll,
     penalized_nll_grad,
@@ -157,6 +163,25 @@ def test_probabilities_complement_exactly():
     assert p + (1.0 - p) == 1.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"ridge": -1.0}, "ridge"),
+        ({"ridge": np.inf}, "ridge"),
+        ({"ridge": np.nan}, "ridge"),
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"gradient_tolerance": 0.0}, "gradient_tolerance"),
+        ({"gradient_tolerance": np.inf}, "gradient_tolerance"),
+        ({"gradient_tolerance": np.nan}, "gradient_tolerance"),
+    ],
+)
+def test_params_reject_out_of_range_and_non_finite(kwargs, field):
+    with pytest.raises(InvalidParam) as err:
+        LogisticParams(**kwargs)
+    assert err.value.field == field
+    assert str(err.value).startswith(f"{field} must be ")
+
+
 def test_sigmoid_clamps_like_clip():
     z = np.array([-np.inf, -1e300, -500.5, -500.0, -499.9, -1.0, -0.0, 0.0,
                   1e-300, 3.5, 499.9, 500.0, 500.5, 1e300, np.inf, np.nan])
@@ -268,6 +293,11 @@ def test_objective_and_gradient_match_reference_bitwise():
             assert penalized_nll(beta, X, t, w, ridge) == _ref_nll(beta, X, t, w, ridge)
             got = penalized_nll_grad(beta, X, t, w, ridge)
             assert got.tobytes() == _ref_grad(beta, X, t, w, ridge).tobytes()
+            # the optimizer's in-place form; stale buffer contents must not leak
+            out = np.full_like(beta, np.nan)
+            p = _sigmoid(X @ beta[1:] + beta[0])
+            assert _grad_at(p, beta, X, t, w, ridge, out=out) is out
+            assert out.tobytes() == got.tobytes()
 
 
 def _fit_result(d, params):
@@ -343,3 +373,33 @@ def test_single_pass_newton_matches_reference_on_vowel(vowel, pair):
         LogisticParams(ridge=0.0, max_iterations=1, gradient_tolerance=1e-14),
     ):
         _assert_fits_bit_equal(d, params)
+
+
+def test_singular_hessian_falls_back_to_lstsq(monkeypatch):
+    # "blue" never occurs: its indicator column is all zero, and with no
+    # ridge the Hessian has an exactly zero row and column every iteration
+    attrs = [
+        AttributeSpec("x"),
+        AttributeSpec("color", ("red", "green", "blue")),
+        AttributeSpec("c", ("a", "b")),
+    ]
+    x = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+    color = [0, 1, 0, 1, 1, 0, 0, 1, 1, 0]
+    label = [0, 0, 1, 0, 0, 1, 0, 1, 1, 1]
+    d = Dataset(attrs, np.column_stack([x, color, label]).astype(float), 2)
+    params = LogisticParams(ridge=0.0)
+
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    model = fit_logistic(d, params)
+    assert model.converged
+    assert model.iterations >= 2
+    assert len(calls) == model.iterations
+    assert model.weights[3] == 0.0  # color=blue
+    _assert_fits_bit_equal(d, params)
