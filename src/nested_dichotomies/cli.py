@@ -172,6 +172,12 @@ class ExperimentConfig:
                 f"reference method {ref!r} not in the method list", "reference"
             )
         object.__setattr__(self, "reference", ref)
+        if self.k < 2:
+            raise InvalidConfigValue("k must be >= 2", "k")
+        if self.repeats < 1:
+            raise InvalidConfigValue("repeats must be >= 1", "repeats")
+        if self.seed < 0:
+            raise InvalidConfigValue("seed must be >= 0", "seed")
         if self.jobs < 1:
             raise InvalidConfigValue("jobs must be >= 1", "jobs")
         if self.subsample_cap is not None and self.subsample_cap < 1:
@@ -629,6 +635,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "cap", None) is not None and args.cap < 1:
             raise ConfigError(0, "--cap must be >= 1")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(0, "--seed must be >= 0")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -356,47 +356,33 @@ def parse_arff(text: str) -> Dataset:
     offending line number, EmptyInput when no data rows are present.
     """
     attributes: list[AttributeSpec] = []
-    rows: list[list[float]] = []
-    linenos: list[int] = []
-    in_data = False
     saw_relation = False
-    decoders = None
-
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        # a data row without comments or quotes takes the plain split
-        plain = in_data and "%" not in raw and "'" not in raw and '"' not in raw
-        line = (raw if plain else _strip_comment(raw)).strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
-        if not in_data and line.startswith("@"):
-            word = line.split(None, 1)[0].lower()
-            rest = line[len(word) :].strip()
-            if word == "@relation":
-                saw_relation = True
-            elif word == "@attribute":
-                attributes.append(_parse_attribute_decl(rest, lineno))
-            elif word == "@data":
-                if not saw_relation:
-                    raise ParseError(lineno, "@data before @relation")
-                if not attributes:
-                    raise ParseError(lineno, "@data with no attributes declared")
-                in_data = True
-                decoders = _plain_decoders(attributes)
-            else:
-                raise ParseError(lineno, f"unknown declaration {word!r}")
-            continue
-        if not in_data:
+        if not line.startswith("@"):
             raise ParseError(lineno, "data row before @data section")
-        if line.startswith("{"):
-            raise UnsupportedFeature(lineno, "sparse ARFF rows are not supported")
-        row = _parse_plain_row(line, decoders) if plain else None
-        rows.append(row if row is not None else _parse_data_row(line, attributes, lineno))
-        linenos.append(lineno)
-
-    if not in_data:
+        word = line.split(None, 1)[0].lower()
+        rest = line[len(word) :].strip()
+        if word == "@relation":
+            saw_relation = True
+        elif word == "@attribute":
+            attributes.append(_parse_attribute_decl(rest, lineno))
+        elif word == "@data":
+            if not saw_relation:
+                raise ParseError(lineno, "@data before @relation")
+            if not attributes:
+                raise ParseError(lineno, "@data with no attributes declared")
+            break
+        else:
+            raise ParseError(lineno, f"unknown declaration {word!r}")
+    else:
         raise ParseError(len(lines) or 1, "no @data section")
-    if not rows:
+
+    rows, linenos = _parse_data_lines(lines, lineno, attributes)
+    if not linenos:
         raise EmptyInput("ARFF input has no data rows")
     return _finish_dataset(attributes, rows, linenos, _last_nominal(attributes))
 
@@ -408,31 +394,61 @@ def _last_nominal(attributes: list[AttributeSpec]) -> int:
     raise EmptyInput("no nominal attribute to use as the class")
 
 
-def _plain_decoders(attributes: list[AttributeSpec]) -> list[dict[str, float] | None]:
-    """Per attribute, None for numeric or a ``{value: float(index)}`` map
-    for nominal; ``?`` is left out so that it reaches the missing-value
-    error of ``_parse_data_row``."""
-    return [
-        {v: float(i) for i, v in enumerate(spec.values) if v != "?"}
-        if spec.is_nominal
-        else None
-        for spec in attributes
+def _parse_data_lines(lines: list[str], start: int, attributes):
+    """``(rows, linenos)`` of the data section ``lines[start:]``, where
+    ``linenos[i]`` is the input line of row ``i``.
+
+    A section with no quote and no comment, other than whole-line
+    ones, is converted in one ``np.loadtxt`` call.  When that call fails
+    on any row, the whole section goes row by row through
+    :func:`_parse_data_row`, which raises the error with its line number.
+    ``loadtxt`` parses a number as ``float`` does, but rejects some forms
+    that ``float`` takes (``1_0``, non-ASCII digits); such a section takes
+    the row-by-row path and parses as before."""
+    # blank and comment-only lines hold no row
+    numbered = [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, lines[start:]), start=start + 1)
+        if line and line[0] != "%"
     ]
+    block = [line for _, line in numbered]
+    plain = not any(
+        "%" in line or "'" in line or '"' in line or line[0] == "{" for line in block
+    )
+    if plain and block:
+        converters = {
+            j: _nominal_converter(spec.values)
+            for j, spec in enumerate(attributes)
+            if spec.is_nominal
+        }
+        try:
+            values = np.loadtxt(
+                block, delimiter=",", comments=None, ndmin=2, converters=converters
+            )
+        except (ValueError, KeyError):
+            pass
+        else:
+            # loadtxt takes its column count from the first row
+            if values.shape[1] == len(attributes):
+                return values, [lineno for lineno, _ in numbered]
+    rows, linenos = [], []
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        line = _strip_comment(raw).strip()
+        if not line:
+            continue
+        if line.startswith("{"):
+            raise UnsupportedFeature(lineno, "sparse ARFF rows are not supported")
+        rows.append(_parse_data_row(line, attributes, lineno))
+        linenos.append(lineno)
+    return rows, linenos
 
 
-def _parse_plain_row(line: str, decoders) -> list[float] | None:
-    """Fast path for a row with no quotes or comment: None when the row
-    does not parse, so that ``_parse_data_row`` raises the error."""
-    fields = line.split(",")
-    if len(fields) != len(decoders):
-        return None
-    try:
-        return [
-            float(tok) if dec is None else dec[tok.strip()]
-            for dec, tok in zip(decoders, fields)
-        ]
-    except (KeyError, ValueError):
-        return None
+def _nominal_converter(values: tuple[str, ...]):
+    """``token -> float(index)`` of a nominal attribute's declared values;
+    ``?`` is left out, so that it reaches the missing-value error of
+    ``_parse_data_row``."""
+    table = {v: float(i) for i, v in enumerate(values) if v != "?"}
+    return lambda token: table[token.strip()]
 
 
 def _parse_data_row(

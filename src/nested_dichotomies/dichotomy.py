@@ -140,21 +140,21 @@ class NestedDichotomy(MultiClassModel):
         return "\n".join(lines) + "\n"
 
     def to_dot(self) -> str:
+        """Graphviz digraph; nodes are numbered in preorder, and each edge
+        line follows the whole subtree of its child."""
         lines = ["digraph nested_dichotomy {", "  node [shape=ellipse];"]
-        counter = [0]
-
-        def walk(node):
-            my_id = counter[0]
-            counter[0] += 1
+        ids = {}
+        open_edges = []  # (child path, edge line), deepest last
+        for i, (node, path) in enumerate(self._preorder()):
+            # close the edges into subtrees that this node is outside of
+            while open_edges and path[: len(open_edges[-1][0])] != open_edges[-1][0]:
+                lines.append(open_edges.pop()[1])
+            ids[path] = i
             label = ", ".join(self.class_names[c] for c in node.class_subset)
-            lines.append(f'  n{my_id} [label="{label}"];')
-            if not node.is_leaf:
-                for child in (node.left, node.right):
-                    child_id = walk(child)
-                    lines.append(f"  n{my_id} -> n{child_id};")
-            return my_id
-
-        walk(self.root)
+            lines.append(f'  n{i} [label="{label}"];')
+            if path:
+                open_edges.append((path, f"  n{ids[path[:-1]]} -> n{i};"))
+        lines.extend(line for _, line in reversed(open_edges))
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -18,25 +18,31 @@ class FeatureEncoder:
     any subset of the data.
     """
 
-    __slots__ = ("n_attributes", "feature_names", "_plan", "n_features")
+    __slots__ = ("n_attributes", "feature_names", "_numeric", "_nominal", "n_features")
 
     def __init__(self, attributes, class_attribute: int):
         self.n_attributes = len(attributes)
-        plan = []  # (source column, width); width 0 marks numeric pass-through
+        numeric = []  # [first source column, end, first output column]
+        nominal = []  # (source column, width, first output column)
         names = []
         offset = 0
         for j, spec in enumerate(attributes):
             if j == class_attribute:
                 continue
             if spec.is_nominal:
-                plan.append((j, len(spec.values), offset))
+                nominal.append((j, len(spec.values), offset))
                 names.extend(f"{spec.name}={v}" for v in spec.values)
                 offset += len(spec.values)
             else:
-                plan.append((j, 0, offset))
+                if numeric and numeric[-1][1] == j:  # extends the run before it
+                    numeric[-1][1] = j + 1
+                else:
+                    numeric.append([j, j + 1, offset])
                 names.append(spec.name)
                 offset += 1
-        self._plan = tuple(plan)
+        # each run of consecutive numeric columns is copied as one block
+        self._numeric = tuple(map(tuple, numeric))
+        self._nominal = tuple(nominal)
         self.n_features = offset
         self.feature_names = tuple(names)
 
@@ -48,16 +54,15 @@ class FeatureEncoder:
             )
         n = rows.shape[0]
         out = np.zeros((n, self.n_features))
-        for src, width, offset in self._plan:
-            if width == 0:
-                out[:, offset] = rows[:, src]
-            else:
-                idx = rows[:, src].astype(np.intp)
-                if idx.min(initial=0) < 0 or idx.max(initial=0) >= width:
-                    raise EncodingMismatch(
-                        f"nominal index out of range in column {src}"
-                    )
-                out[np.arange(n), offset + idx] = 1.0
+        for src, end, offset in self._numeric:
+            out[:, offset : offset + end - src] = rows[:, src:end]
+        for src, width, offset in self._nominal:
+            idx = rows[:, src].astype(np.intp)
+            if idx.min(initial=0) < 0 or idx.max(initial=0) >= width:
+                raise EncodingMismatch(
+                    f"nominal index out of range in column {src}"
+                )
+            out[np.arange(n), offset + idx] = 1.0
         return out
 
 

@@ -203,11 +203,18 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
         ("train", "", ["--method", "name=m ridge=inf"], "ridge must be >= 0 and finite"),
         ("train", "", ["--method", "name=m ridge=nan"], "ridge must be >= 0 and finite"),
         ("train", "", ["--method", "name=m tol=inf"], "tol must be > 0 and finite"),
+        ("evaluate", "", ["--seed", "-1"], "config error: --seed must be >= 0\n"),
+        ("inspect", "", ["--seed", "-1"], "config error: --seed must be >= 0\n"),
+        ("train", "", ["--method", "name=m", "--seed", "-1"],
+         "config error: --seed must be >= 0\n"),
+        ("splits", "", ["--seed", "-2"], "config error: --seed must be >= 0\n"),
+        ("proportions", "", ["--seed", "-1"], "config error: --seed must be >= 0\n"),
     ],
     ids=[
         "method-cap", "subsample_cap", "jobs", "jobs-flag",
         "inspect-cap", "train-cap", "splits-cap", "proportions-cap", "train-ridge",
         "train-ridge-inf", "train-ridge-nan", "train-tol-inf",
+        "evaluate-seed", "inspect-seed", "train-seed", "splits-seed", "proportions-seed",
     ],
 )
 def test_cli_value_below_one_exit_two(
@@ -250,11 +257,16 @@ def test_cli_value_below_one_exit_two(
         ("method = name=m tol=inf", "tol must be > 0 and finite"),
         ("method = name=m strategy=random_pair cap=0", "cap must be >= 1"),
         ("method = name=m ensemble=bagging size=0", "size must be >= 1"),
+        ("seed = -1", "seed must be >= 0"),
+        ("k = 1", "k must be >= 2"),
+        ("k = 0", "k must be >= 2"),
+        ("repeats = 0", "repeats must be >= 1"),
     ],
     ids=[
         "jobs", "subsample_cap", "reference", "duplicate-method",
         "ridge", "tol", "tol-nan", "max_iter", "min_leaf", "cf-zero", "cf-high",
         "tree-option-on-logistic", "ridge-on-tree", "ridge-inf", "tol-inf", "cap", "size",
+        "seed", "k-one", "k-zero", "repeats",
     ],
 )
 def test_config_value_error_reports_its_line(

@@ -241,12 +241,14 @@ _ROW_HEADER = "@relation r\n@attribute x numeric\n@attribute c {a,b,'p,q',?}\n@d
         "1,z % trailing comment",
         " 1 ,  b ",  # spaces around tokens
         "\t-2.5e3 ,a\t",
+        "1_0,a",  # float() takes these and np.loadtxt does not
+        "\u0661\u0662,b",  # Arabic-Indic digits
     ],
 )
 def test_plain_row_fast_path_matches_slow_path(row):
-    # rows with quotes or '%' take the quote-aware _parse_data_row; plain
-    # rows take a fast split that falls back to it on any error, so both
-    # must give what _parse_data_row gives
+    # sections with quotes or '%' take the quote-aware _parse_data_row;
+    # plain ones are converted in bulk, falling back to it on any error,
+    # so both must give what _parse_data_row gives
     attrs = list(parse_arff(_ROW_HEADER).attributes)
     text = _ROW_HEADER + row + "\n"
     try:
@@ -258,6 +260,116 @@ def test_plain_row_fast_path_matches_slow_path(row):
         assert (err.value.line, str(err.value)) == (6, str(exc))
     else:
         assert list(parse_arff(text).values[-1]) == expected
+
+
+_BULK_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.3f}"),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.17e}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "+1", ".5", "5.", "1e999"]),
+)
+_BULK_BAD = st.sampled_from(["?", "", "x", "1_0", "\u0661", "1d5", "0x10", "{0 1}"])
+
+
+@st.composite
+def _plain_sections(draw):
+    """An ARFF text whose data rows hold no quote and no trailing comment,
+    so that the bulk conversion takes them; rows may be padded, and a few
+    hold a bad token or the wrong number of fields."""
+    kinds = draw(st.lists(st.booleans(), min_size=0, max_size=4))
+    attrs = [
+        AttributeSpec(f"n{j}", ("a", "bb", "c d")) if nominal else AttributeSpec(f"x{j}")
+        for j, nominal in enumerate(kinds)
+    ]
+    attrs.append(AttributeSpec("class", ("u", "v", "?")))
+    lines = ["@relation r"]
+    lines += [
+        f"@attribute {a.name} {{{', '.join(a.values)}}}" if a.is_nominal
+        else f"@attribute {a.name} numeric"
+        for a in attrs
+    ]
+    lines.append("@data")
+    bad_rows = draw(st.booleans())
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(pad))
+            continue
+        if kind == "comment":
+            lines.append(draw(pad) + "% a comment")
+            continue
+        fields = []
+        for a in attrs:
+            if bad_rows and draw(st.integers(0, 9)) == 0:
+                token = draw(_BULK_BAD)
+            elif a.is_nominal:
+                token = draw(st.sampled_from(a.values[:2]))
+            else:
+                token = draw(_BULK_NUMBERS)
+            fields.append(draw(pad) + token + draw(pad))
+        if bad_rows and draw(st.integers(0, 9)) == 0:
+            fields = fields[:-1] if len(fields) > 1 else fields + ["1"]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(text):
+    try:
+        return parse_arff(text).values.tobytes()
+    except (ParseError, EmptyInput) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_sections())
+def test_bulk_parse_matches_row_by_row_parse(text):
+    # the row-by-row path, forced by a loadtxt that always fails, is the
+    # oracle: the same values, bit for bit, or the same error at the same line
+    bulk = _parse_outcome(text)
+
+    def no_loadtxt(*args, **kwargs):
+        raise ValueError("bulk conversion off")
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        assert _parse_outcome(text) == bulk
+
+
+@pytest.mark.parametrize(
+    "data, bulk",
+    [
+        ("1,a\n% whole-line comment\n\n 2.5 , b \n", ["converted"]),
+        ("1,a\n2.5,b % trailing comment\n", []),
+        ("1,a\n2.5,'b'\n", []),
+        ("1,a\n1_0,b\n", ["failed"]),  # then row by row
+    ],
+)
+def test_bulk_parse_is_tried_on_plain_sections(data, bulk, monkeypatch):
+    outcomes = []
+    loadtxt = np.loadtxt
+
+    def recording_loadtxt(*args, **kwargs):
+        outcomes.append("failed")
+        values = loadtxt(*args, **kwargs)
+        outcomes[-1] = "converted"
+        return values
+
+    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+    d = parse_arff("@relation r\n@attribute x numeric\n@attribute c {a,b}\n@data\n" + data)
+    assert outcomes == bulk
+    assert d.values[:, 1].tolist() == [0.0, 1.0]
+
+
+def test_bulk_parse_names_the_line_of_a_non_finite_value():
+    text = (
+        "@relation r\n@attribute x numeric\n@attribute c {a,b}\n@data\n"
+        "% comment\n1,a\n\n2,b\n-inf,a\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_arff(text)
+    assert err.value.line == 9
 
 
 # -- CSV --------------------------------------------------------------

@@ -281,28 +281,42 @@ def test_text_and_dot_exports():
 
 def _ref_walks(nd):
     """The recursive walks that ``_preorder`` replaced: internal nodes,
-    ``to_text`` and ``to_model_text``."""
+    ``to_text``, ``to_model_text`` and ``to_dot``."""
     internal, text, model = [], [], [
         f"nested_dichotomy strategy={nd.strategy_id} seed={nd.build_seed}",
         "classes " + ",".join(nd.class_names),
     ]
+    dot = ["digraph nested_dichotomy {", "  node [shape=ellipse];"]
+    visited = []
 
     def walk(node, path):
         names = ",".join(nd.class_names[c] for c in node.class_subset)
         text.append("  " * len(path) + f"[{names}]")
+        my_id = len(visited)
+        visited.append(node)
+        label = ", ".join(nd.class_names[c] for c in node.class_subset)
+        dot.append(f'  n{my_id} [label="{label}"];')
         tag = "".join(map(str, path)) or "root"
         subset = ",".join(str(c) for c in node.class_subset)
         if node.is_leaf:
             model.append(f"leaf {tag} classes={subset}")
-            return
+            return my_id
         internal.append(node)
         model.append(f"node {tag} classes={subset}")
         model.extend("  " + line for line in node.model.to_lines())
-        walk(node.left, path + (0,))
-        walk(node.right, path + (1,))
+        for branch, child in enumerate((node.left, node.right)):
+            child_id = walk(child, path + (branch,))
+            dot.append(f"  n{my_id} -> n{child_id};")
+        return my_id
 
     walk(nd.root, ())
-    return internal, "\n".join(text) + "\n", "\n".join(model) + "\n"
+    dot.append("}")
+    return (
+        internal,
+        "\n".join(text) + "\n",
+        "\n".join(model) + "\n",
+        "\n".join(dot) + "\n",
+    )
 
 
 @pytest.mark.parametrize("strategy", ["random", "class_balanced", "random_pair"])
@@ -311,7 +325,46 @@ def test_preorder_walks_match_recursive_walks(strategy):
     d = gaussian_dataset(rng.normal(size=(7, 2)) * 4, per_class=6, seed=5)
     for seed in range(4):
         nd = build_nd(d, SubsetSelector(strategy), TreeParams(min_instances_per_leaf=1), seed)
-        internal, text, model = _ref_walks(nd)
+        internal, text, model, dot = _ref_walks(nd)
         assert [id(n) for n in nd.internal_nodes()] == [id(n) for n in internal]
         assert nd.to_text() == text
         assert nd.to_model_text() == model
+        assert nd.to_dot() == dot
+
+
+_ZOO_DOT = """\
+digraph nested_dichotomy {
+  node [shape=ellipse];
+  n0 [label="mammal, bird, reptile, fish, amphibian, insect, invertebrate"];
+  n1 [label="mammal"];
+  n0 -> n1;
+  n2 [label="bird, reptile, fish, amphibian, insect, invertebrate"];
+  n3 [label="bird, reptile, fish"];
+  n4 [label="fish"];
+  n3 -> n4;
+  n5 [label="bird, reptile"];
+  n6 [label="bird"];
+  n5 -> n6;
+  n7 [label="reptile"];
+  n5 -> n7;
+  n3 -> n5;
+  n2 -> n3;
+  n8 [label="amphibian, insect, invertebrate"];
+  n9 [label="insect"];
+  n8 -> n9;
+  n10 [label="amphibian, invertebrate"];
+  n11 [label="amphibian"];
+  n10 -> n11;
+  n12 [label="invertebrate"];
+  n10 -> n12;
+  n8 -> n10;
+  n2 -> n8;
+  n0 -> n2;
+}
+"""
+
+
+def test_zoo_dot_export_is_unchanged(zoo):
+    # written by the recursive walk that the preorder walk replaced
+    nd = build_nd(zoo, SubsetSelector("random_pair"), LogisticParams(), 3)
+    assert nd.to_dot() == _ZOO_DOT

@@ -11,11 +11,15 @@ from nested_dichotomies.errors import (
     InvalidParam,
     SingleClass,
 )
-from nested_dichotomies.learners import LogisticParams, fit_logistic
+from nested_dichotomies.learners import LogisticParams, fit_logistic, logistic
 from nested_dichotomies.learners.base import FeatureEncoder, binary_class_info
 from nested_dichotomies.learners.logistic import (
+    _column_sums,
     _grad_at,
+    _linear,
+    _nll_at,
     _sigmoid,
+    _solve,
     penalized_nll,
     penalized_nll_grad,
 )
@@ -146,6 +150,34 @@ def test_one_hot_encoding_of_nominals():
     m = fit_logistic(d, LogisticParams(ridge=1e-4))
     assert m.weights.shape == (3,)
     assert m.predict_prob(np.array([0.0, 0.0])) > 0.5  # color r always class x
+
+
+def test_encode_copies_numeric_runs_like_column_by_column():
+    # numeric runs broken by the class column and by nominal columns
+    attrs = [
+        AttributeSpec("x0"), AttributeSpec("x1"),
+        AttributeSpec("c", ("a", "b")),
+        AttributeSpec("x2"),
+        AttributeSpec("n", ("p", "q", "r")),
+        AttributeSpec("x3"), AttributeSpec("x4"), AttributeSpec("x5"),
+    ]
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(9, len(attrs)))
+    rows[:, 2] = rng.integers(0, 2, 9)
+    rows[:, 4] = rng.integers(0, 3, 9)
+    for class_at in (2, 4):
+        encoder = FeatureEncoder(attrs, class_at)
+        want = []
+        for j, spec in enumerate(attrs):
+            if j == class_at:
+                continue
+            if spec.is_nominal:
+                want.append(np.eye(len(spec.values))[rows[:, j].astype(int)])
+            else:
+                want.append(rows[:, [j]])
+        got = encoder.encode(rows)
+        assert got.tobytes() == np.hstack(want).tobytes()
+        assert encoder.n_features == got.shape[1]
 
 
 def test_encoding_mismatch():
@@ -375,7 +407,9 @@ def test_single_pass_newton_matches_reference_on_vowel(vowel, pair):
         _assert_fits_bit_equal(d, params)
 
 
-def test_singular_hessian_falls_back_to_lstsq(monkeypatch):
+def _singular_fit_calls(monkeypatch):
+    """Fit a problem whose Hessian is singular at every iteration; return
+    the model and the number of ``lstsq`` calls it made."""
     # "blue" never occurs: its indicator column is all zero, and with no
     # ridge the Hessian has an exactly zero row and column every iteration
     attrs = [
@@ -402,4 +436,120 @@ def test_singular_hessian_falls_back_to_lstsq(monkeypatch):
     assert model.iterations >= 2
     assert len(calls) == model.iterations
     assert model.weights[3] == 0.0  # color=blue
+    fit_calls = len(calls)
     _assert_fits_bit_equal(d, params)
+    return model, fit_calls
+
+
+def test_singular_hessian_falls_back_to_lstsq(monkeypatch):
+    assert _singular_fit_calls(monkeypatch)[0].iterations == 5
+
+
+# -- the LAPACK binding and the in-place helpers --------------------------------
+
+
+def _use_linalg_solve(monkeypatch):
+    """Force the module onto its ``np.linalg.solve`` fallback, as on a
+    numpy without the ``solve1`` gufunc; returns the list of its calls."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(logistic, "_solve1", None)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return calls
+
+
+def test_singular_hessian_falls_back_to_lstsq_through_linalg_solve(monkeypatch):
+    solve_calls = _use_linalg_solve(monkeypatch)
+    model, lstsq_calls = _singular_fit_calls(monkeypatch)
+    assert (model.iterations, lstsq_calls) == (5, 5)
+    # the fit, the fit again and the reference loop each call it 5 times
+    assert len(solve_calls) == 3 * 5
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (2, 7)])
+def test_linalg_solve_fallback_matches_reference_on_vowel(vowel, pair, monkeypatch):
+    calls = _use_linalg_solve(monkeypatch)
+    d = vowel.restrict_to_classes(pair)
+    for params in (
+        LogisticParams(max_iterations=1000),
+        LogisticParams(ridge=0.0, max_iterations=1, gradient_tolerance=1e-14),
+    ):
+        _assert_fits_bit_equal(d, params)
+    assert calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(_logistic_problems())
+def test_linalg_solve_fallback_matches_two_pass_reference(problem):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _use_linalg_solve(monkeypatch)
+        _assert_fits_bit_equal(*problem)
+
+
+def test_solve_matches_linalg_solve_and_raises_on_singular():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 3, 11, 20, 65):
+        A = rng.normal(size=(size, size)) + size * np.eye(size)
+        b = rng.normal(size=size)
+        assert _solve(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
+    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    for matrix in (singular, np.zeros((3, 3))):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(matrix, np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(matrix, np.ones(3))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 19, 29, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 257, 2079])
+def test_column_sums_match_sum_bytes(n, p, monkeypatch):
+    rng = np.random.default_rng(100 * n + p)
+    # a curvature-weighted design, as the Hessian's intercept row sums it
+    A = rng.normal(size=(n, p)) * rng.uniform(1e-12, 0.25, size=(n, 1))
+    if p == 1:
+        # one column keeps sum(axis=0): numpy sums it pairwise, einsum would not
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("a one-column design reached einsum")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+    out = np.full(p, np.nan)
+    assert _column_sums(A, out=out) is out
+    assert out.tobytes() == A.sum(axis=0).tobytes()
+
+
+def test_out_and_work_forms_match_fresh_arrays():
+    # stale buffer contents (NaN here) must not leak into any result
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        unit, X, t, w, _ = random_problem(rng, n=40, p=4)
+        ridge = np.concatenate(([0.0], rng.uniform(0.0, 0.1, unit.size - 1)))
+        n = t.size
+        for beta in (1e-3 * unit, unit, 40.0 * unit):
+            z = _linear(beta, X)
+            assert z.tobytes() == (X @ beta[1:] + beta[0]).tobytes()
+            z_out = np.full(n, np.nan)
+            assert _linear(beta, X, out=z_out) is z_out
+            assert z_out.tobytes() == z.tobytes()
+
+            p = _sigmoid(z)
+            assert p.tobytes() == _ref_sigmoid(z).tobytes()
+            p_out = np.full(n, np.nan)
+            assert _sigmoid(z, out=p_out) is p_out
+            assert p_out.tobytes() == p.tobytes()
+
+            work = (np.full(n, np.nan), np.full(n, np.nan))
+            nll = _nll_at(z, beta, 1.0 - t, w, ridge, work)
+            assert nll == _nll_at(z, beta, 1.0 - t, w, ridge) == _ref_nll(beta, X, t, w, ridge)
+
+            g_out, resid = np.full_like(beta, np.nan), np.full(n, np.nan)
+            assert _grad_at(p, beta, X, t, w, ridge, out=g_out, work=resid) is g_out
+            assert g_out.tobytes() == _ref_grad(beta, X, t, w, ridge).tobytes()
+    z = np.array([-np.inf, -1e300, -500.5, -500.0, -499.9, -1.0, -0.0, 0.0,
+                  1e-300, 3.5, 499.9, 500.0, 500.5, 1e300, np.inf, np.nan])
+    p_out = np.full_like(z, np.nan)
+    assert _sigmoid(z, out=p_out).tobytes() == _ref_sigmoid(z).tobytes()
