@@ -188,6 +188,8 @@ class ExperimentConfig:
 # Config parsing
 # ---------------------------------------------------------------------------
 
+_SCALAR_KEYS = {"k", "repeats", "seed", "reference", "out", "jobs", "subsample_cap"}
+
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 # a comment starts at a '#' that opens the line or follows whitespace, so
@@ -308,6 +310,12 @@ def parse_config(text: str) -> ExperimentConfig:
             methods.append(_method_from_tokens(_parse_tokens(value, lineno), lineno))
             entry_lines["method"].append(lineno)
         else:
+            if key in scalars and key in _SCALAR_KEYS:
+                raise ConfigError(
+                    lineno,
+                    f"config keys must be unique: {key!r} repeats"
+                    f" (first {key} at line {scalar_lines[key]})",
+                )
             scalars[key] = value
             scalar_lines[key] = lineno
 
@@ -321,9 +329,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 scalar_lines[key], f"expected an integer for {key!r}"
             ) from None
 
-    known = {"k", "repeats", "seed", "reference", "out", "jobs", "subsample_cap"}
     for key in scalars:
-        if key not in known:
+        if key not in _SCALAR_KEYS:
             raise ConfigError(scalar_lines[key], f"unknown config key {key!r}")
     try:
         return ExperimentConfig(

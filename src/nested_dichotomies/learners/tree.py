@@ -1,7 +1,8 @@
 """Two-class decision tree in the C4.5 family.
 
 Splits are binary: numeric attributes test ``x <= threshold`` (midpoints
-between consecutive distinct values), nominal attributes test
+between consecutive distinct values, or the lower value where the
+midpoint rounds or overflows past them), nominal attributes test
 ``x == value`` against the rest.  Within an attribute the candidate is
 chosen by information gain; attributes then compete on gain ratio (the
 C4.5 convention) unless ``use_gain_ratio`` is off.  Ties break to the
@@ -15,17 +16,29 @@ terminates because both sides must receive at least the per-leaf minimum.
 Numeric split search follows the attribute lists of SLIQ (Mehta, Agrawal
 and Rissanen, 1996), kept as the dataset's order codes (see ``data``)
 rather than float values: each numeric column's codes are stable-sorted
-once per fit, which numpy runs as a radix sort on 16-bit codes, and a
-split stable-partitions the node's slice of every sorted list, so each
-node sees its rows in the order its own stable sort would give.  Codes
-order and tie as the values do, so the order, and so the model, is the
-one a stable sort of the values gives.  A node scores every attribute
-in one pass over one set of candidate tests: the code boundaries of the
-sorted lists, weighed by cumulative sums, and the ``value vs rest``
-tests, weighed by one ``bincount`` over all nominal columns.  Only tests
-that leave the per-leaf minimum on both sides count; every ``x log2 x``
-term of the node is taken in one vectorized pass, each attribute keeps
-its best test, and the attributes compete in one array.
+once per fit, which numpy runs as a radix sort on 16-bit codes.  The
+lists are stored node-major: a node's rows own one contiguous block that
+holds every list of the node, and a split stable-partitions that block
+into the same range of a second buffer, where the children's blocks
+then lie; the two buffers swap roles at each level.  So each node sees
+its rows in the order its own stable sort would give.  Codes order and
+tie as the values do, so the order, and so the model, is the one a
+stable sort of the values gives.  A node scores every attribute in one
+pass over one set of candidate tests: the code boundaries of the sorted
+lists and the ``value vs rest`` tests, weighed by one ``bincount`` over
+all nominal columns.  Only tests that leave the per-leaf minimum on both
+sides count; every ``x log2 x`` term of the node is taken in one
+vectorized pass, each attribute keeps its best test, and the attributes
+compete in one array.
+
+With unit weights, as parsing, folds and resampling produce, every
+weight the search forms is an integer count, exact in any order of
+summation, so boundaries are weighed by counting: a boundary's left
+weight is the number of rows before it in its list, its class-1 weight
+a running count over the runs of equal codes, and each ``x log2 x``
+term a lookup in a table over ``0..n``.  Other weights are summed
+cumulatively in list order, as a search over one attribute at a time
+would sum them.  Both give the same gains, bit for bit.
 
 Pruning is pessimistic-error pruning: a subtree collapses to a leaf when
 the leaf's upper-confidence error estimate does not exceed the subtree's.
@@ -38,6 +51,7 @@ limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,7 +130,7 @@ def add_errs(n: float, e: float, cf: float) -> float:
         return max(n - e, 0.0)
     z = _upper_z(cf)
     f = (e + 0.5) / n
-    r = (f + z * z / (2.0 * n) + z * np.sqrt(f / n - f * f / n + z * z / (4 * n * n))) / (
+    r = (f + z * z / (2.0 * n) + z * math.sqrt(f / n - f * f / n + z * z / (4 * n * n))) / (
         1.0 + z * z / n
     )
     return r * n - e
@@ -188,23 +202,40 @@ class TreeModel(BinaryModel):
         return lines
 
 
+def _unit_weights(weights: np.ndarray) -> bool:
+    """Whether every weight is 1, so that every weight the split search
+    sums is an exact count."""
+    return bool((weights == 1.0).all())
+
+
 class _Grower:
     """Grows one unpruned tree over attribute lists sorted once per fit.
 
-    ``order[a]`` lists row ids by ascending code of numeric attribute
-    ``numeric[a]`` (stable, so ties keep row order) and
-    ``sorted_codes[a]`` the codes in that order; the last row of ``order``
-    lists row ids in dataset order.  Each node owns the column range
-    ``lo:hi`` of ``order`` and ``sorted_codes``; a split partitions that
-    range in place, left rows first, keeping relative order in every row,
-    so each node's range is its own stable sort.  The gather and
-    cumulative-sum buffers are allocated once and reused by every node.
+    With ``m`` numeric attributes, the node over rows ``lo:hi`` (``k``
+    rows) owns the flat block ``(m+1)*lo:(m+1)*hi`` of an order buffer
+    and ``m*lo:m*hi`` of a codes buffer.  Read as ``(m+1, k)``, row ``a``
+    of the order block lists the node's row ids by ascending code of
+    numeric attribute ``numeric[a]`` (stable, so ties keep row order) and
+    its last row lists them in dataset order; read as ``(m, k)``, the
+    codes block holds the codes in that order.  Each list comes as two
+    buffers: a split stable-partitions the node's block, left rows first
+    in every row, into the same range of the other buffer, where the
+    children's blocks then lie, so a node at depth ``d`` reads buffer
+    ``d % 2`` and each node's block is its own stable sort.
 
     Slot ``s`` scores attribute ``slot_attr[s]``, numeric ones first.  A
     candidate test is a slot with the weight and class-1 weight on its
     left side; each slot also has the node's weight and class-1 weight.
     Nominal tests are weighed by one ``bincount`` over every nominal
     column, each column's codes offset to its own run of bins.
+
+    When every weight is 1, each of these weights is a count, exact in
+    any order of summation, and is counted: a boundary's left weight is
+    its position in the list plus one, its class-1 weight is a running
+    count of class-1 rows over the runs of equal codes, and every
+    ``x log2 x`` term is read from a table over ``0..n``.  Otherwise the
+    weights are cumulative sums in list order, as a per-attribute search
+    would form them.  Either way the gains are the same bits.
     """
 
     def __init__(self, d: Dataset, target, params):
@@ -212,7 +243,6 @@ class _Grower:
         self.values = d.values
         self.target = target
         self.weights = d.weights
-        self.weighted_target = d.weights * target
         self.nominal_sizes = tuple(
             len(spec.values) if spec.is_nominal else 0 for spec in d.attributes
         )
@@ -226,14 +256,25 @@ class _Grower:
 
         m = len(self.numeric)
         codes = np.ascontiguousarray(d.codes.T)
-        self.order = np.empty((m + 1, n), dtype=np.intp)
-        self.order[:m] = np.argsort(codes, axis=1, kind="stable")
-        self.order[m] = np.arange(n)
-        self.sorted_codes = np.take_along_axis(codes, self.order[:m], axis=1)
-        self._cw = np.empty(m * n)
-        self._cw1 = np.empty(m * n)
-        self._boundary = np.empty(m * n, dtype=bool)
+        order = np.empty((m + 1, n), dtype=np.intp)
+        order[:m] = np.argsort(codes, axis=1, kind="stable")
+        order[m] = np.arange(n)
+        sorted_codes = np.take_along_axis(codes, order[:m], axis=1)
+        self._order = (order.ravel(), np.empty_like(order.ravel()))
+        self._codes = (sorted_codes.ravel(), np.empty_like(sorted_codes.ravel()))
         self._go_left = np.empty(n, dtype=bool)
+
+        self.counts = _unit_weights(d.weights)
+        if self.counts:
+            self.first = target.astype(np.intp)
+            self._first_sorted = np.empty(m * n, dtype=np.intp)
+            self._starts = np.empty(m * n, dtype=bool)
+            self._xlx = _xlog2x(np.arange(n + 1, dtype=np.float64))
+        else:
+            self.weighted_target = d.weights * target
+            self._cw = np.empty(m * n)
+            self._cw1 = np.empty(m * n)
+            self._boundary = np.empty(m * n, dtype=bool)
 
         # nominal column i's codes, offset to its own run bin_ranges[i] of
         # bins; each bin's slot and value index
@@ -244,72 +285,214 @@ class _Grower:
         self.bin_slot = np.repeat(np.arange(m, m + len(sizes)), sizes)
         self.bin_value = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
 
+    def _block(self, lo, hi, buf):
+        """The ``(m+1, k)`` order block and ``(m, k)`` codes block of the
+        node ``lo:hi`` in buffer ``buf``."""
+        m, k = len(self.numeric), hi - lo
+        order = self._order[buf][(m + 1) * lo : (m + 1) * hi].reshape(m + 1, k)
+        return order, self._codes[buf][m * lo : m * hi].reshape(m, k)
+
     def grow(self):
         """The unpruned tree over every row, grown depth first from an
         explicit stack."""
         root = None
-        pending = [(0, self.order.shape[1], None, "")]
+        pending = [(0, self._go_left.size, None, "", 0)]
         while pending:
-            lo, hi, parent, side = pending.pop()
-            node, mid = self._split(lo, hi)
+            lo, hi, parent, side, buf = pending.pop()
+            node, mid = self._split(lo, hi, buf)
             if parent is None:
                 root = node
             else:
                 setattr(parent, side, node)
             if mid is not None:
-                pending.append((mid, hi, node, "right"))
-                pending.append((lo, mid, node, "left"))
+                pending.append((mid, hi, node, "right", 1 - buf))
+                pending.append((lo, mid, node, "left", 1 - buf))
         return root
 
-    def _split(self, lo, hi):
+    def _split(self, lo, hi, buf):
         """``(leaf, None)`` for the node ``lo:hi``, or ``(node, mid)`` with
         the children of ``node`` still to grow over ``lo:mid`` and
-        ``mid:hi``."""
-        rows = self.order[-1, lo:hi]
-        weights = self.weights[rows]
-        w1 = float(weights @ self.target[rows])
-        w_total = float(weights.sum())
+        ``mid:hi``, their blocks in the other buffer."""
+        order, codes = self._block(lo, hi, buf)
+        rows = order[-1]
+        if self.counts:
+            w_total = float(hi - lo)
+            w1 = float(self.first.take(rows).sum())
+        else:
+            weights = self.weights[rows]
+            w1 = float(weights @ self.target[rows])
+            w_total = float(weights.sum())
         w2 = w_total - w1
 
         if w1 <= 0 or w2 <= 0 or w_total < 2 * self.min_leaf:
             return _Leaf(w1, w2), None
-        best = self._best_tests(lo, hi, rows, weights)
+        best = self._best_tests(order, codes, w1)
         if best is None:
             return _Leaf(w1, w2), None
 
         # the informative tests (or all, if none is) compete on gain ratio
-        # or gain; ties go to the lowest attribute
+        # or gain; ties go to the lowest attribute.  There is one test per
+        # attribute, few enough that Python floats beat numpy calls
         attrs, gains, split_info, thresholds = best
-        pool = (gains > _EPS * max(1.0, w_total)).nonzero()[0]
-        if pool.size:
-            score = gains[pool] / w_total
+        gains, split_info = gains.tolist(), split_info.tolist()
+        floor = _EPS * max(1.0, w_total)
+        pool = [i for i, g in enumerate(gains) if g > floor]
+        if pool:
+            score = [gains[i] / w_total for i in pool]
             if self.params.use_gain_ratio:
-                si = split_info[pool] / w_total
-                score = np.divide(score, si, out=np.zeros(pool.size), where=si > _EPS)
-            pool = pool[score >= score.max() - _EPS]
+                si = [split_info[i] / w_total for i in pool]
+                score = [g / s if s > _EPS else 0.0 for g, s in zip(score, si)]
+            top = max(score) - _EPS
+            pool = [i for i, g in zip(pool, score) if g >= top]
         else:
-            pool = np.arange(attrs.size)
-        pick = pool[attrs[pool].argmin()]
-        attr, thr = int(attrs[pick]), thresholds[pick]
+            pool = range(len(gains))
+        attrs = attrs.tolist()
+        pick = min(pool, key=attrs.__getitem__)
+        attr, thr = attrs[pick], thresholds[pick]
 
         nominal = bool(self.nominal_sizes[attr])
         col = self.values[rows, attr]
         go_left = col == thr if nominal else col <= thr
-        mid = lo + self._partition(lo, hi, rows, go_left)
+        mid = lo + self._partition(lo, hi, buf, rows, go_left)
         return _Node(attr, thr, nominal, None, None, w1, w2), mid
 
-    def _best_tests(self, lo, hi, rows, weights):
+    def _best_tests(self, order, codes, w1):
         """The best test of every attribute with a feasible one at the node
-        ``lo:hi``, as arrays ``(attrs, gains, split_info, thresholds)`` in
-        slot order, gains and split info in unnormalized weight*bits units;
-        None when no attribute has one."""
+        with blocks ``order`` and ``codes`` and class-1 weight ``w1``, as
+        arrays ``(attrs, gains, split_info, thresholds)`` in slot order,
+        gains and split info in unnormalized weight*bits units; None when
+        no attribute has one."""
+        if not self.slot_attr.size:
+            return None
+        if self.counts:
+            tests = self._counted_tests(order, codes, int(w1))
+        else:
+            tests = self._summed_tests(order, codes)
+        if tests is None:
+            return None
+        a, pos, gains, split_info = tests
+
+        # per slot (a run of candidates), the first within _EPS of the
+        # slot's highest gain: the lowest threshold or value of the best
+        new_slot = np.empty(a.size, dtype=bool)
+        new_slot[0] = True
+        np.not_equal(a[1:], a[:-1], out=new_slot[1:])
+        starts = new_slot.nonzero()[0]
+        slots = a[starts]
+        top = np.zeros(self.slot_attr.size)
+        top[slots] = np.maximum.reduceat(gains, starts) - _EPS
+        hit = (gains >= top[a]).nonzero()[0]
+        best = hit[a[hit].searchsorted(slots)]
+
+        # a numeric threshold is the midpoint of the values of the rows
+        # either side of the boundary, a nominal one the value's index
+        pos = pos[best]
+        attrs = self.slot_attr[slots]
+        thresholds = pos.astype(float)
+        n = slots.searchsorted(len(self.numeric))
+        if n:
+            ids, cols = order.ravel(), attrs[:n]  # pos indexes the (m, k) lists
+            below = self.values[ids[pos[:n]], cols]
+            above = self.values[ids[pos[:n] + 1], cols]
+            # the lower value where the midpoint leaves [below, above), so
+            # that both sides keep rows: two adjacent doubles can round up
+            # to the upper one (C4.5 takes the lower value then) and values
+            # past 8e307 overflow
+            mid = (below + above) / 2.0
+            thresholds[:n] = np.where((below <= mid) & (mid < above), mid, below)
+        return attrs, gains[best], split_info[best], thresholds
+
+    # -- unit weights: counts ------------------------------------------
+
+    def _counted_tests(self, order, codes, n1):
+        """Every feasible test of a node with unit weights and ``n1``
+        class-1 rows, as ``(slots, positions, gains, split_info)`` with
+        slots ascending; None when there is none."""
+        k = order.shape[1]
         parts = []
         if self.numeric:
-            parts.append(self._numeric_candidates(lo, hi))
+            parts.append(self._numeric_counts(order, codes, n1))
         if self.nominal:
-            parts.append(self._nominal_candidates(rows, weights))
-        if not parts:
+            parts.append(self._nominal_counts(order[-1]))
+        a, lw, lw1, pos = (
+            parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        )
+        if a.size == 0:
             return None
+
+        # the x*log2(x) terms of both children's entropies; with counts
+        # each child's pair sums to its weight exactly, so the entropy and
+        # the split info share that term
+        terms = np.empty((6, a.size), dtype=np.intp)
+        terms[0], terms[1] = lw, lw1
+        np.subtract(lw, lw1, out=terms[2])
+        np.subtract(k, lw, out=terms[3])
+        np.subtract(n1, lw1, out=terms[4])
+        np.subtract(terms[3], terms[4], out=terms[5])
+        xl_w, xl_1, xl_2, xr_w, xr_1, xr_2 = self._xlx.take(terms)
+        x_w = self._xlx[k]
+        parent = x_w - self._xlx[n1] - self._xlx[k - n1]
+        children = xl_w - xl_1
+        children -= xl_2
+        right = xr_w - xr_1
+        right -= xr_2
+        children += right
+        gains = np.subtract(parent, children, out=children)
+        split_info = x_w - xl_w
+        split_info -= xr_w
+        return a, pos, gains, split_info
+
+    def _numeric_counts(self, order, codes, n1):
+        """The code boundaries of a node with unit weights that leave the
+        per-leaf minimum on both sides: per candidate its slot, the count
+        and class-1 count left of it and its position, a flat index into
+        the ``(m, k)`` lists."""
+        m, k = codes.shape
+        ml = self.params.min_instances_per_leaf
+        # a run of equal codes starts at every code boundary; only those
+        # ml..k-ml rows into a list are candidates, and position 0 starts
+        # the first run
+        starts = self._starts[: m * k]
+        flat = codes.ravel()
+        np.less(flat[:-1], flat[1:], out=starts[1:])
+        by_list = starts.reshape(m, k)
+        by_list[:, :ml] = False
+        by_list[:, k - ml + 1 :] = False
+        starts[0] = True
+        at = starts.nonzero()[0]
+        # class-1 rows before each run start, counted over the lists laid
+        # end to end; each earlier list holds all n1 of them
+        first = self._first_sorted[: m * k]
+        self.first.take(order[:m].ravel(), out=first, mode="clip")
+        before = np.add.reduceat(first, at)
+        np.add.accumulate(before, out=before)
+        pos = at[1:] - 1  # each boundary's last row on the left
+        a = pos // k
+        lw = at[1:] - a * k
+        return a, lw, np.subtract(before[:-1], a * n1), pos
+
+    def _nominal_counts(self, rows):
+        """The ``value vs rest`` tests of a node with unit weights and
+        ``rows`` that leave the per-leaf minimum on both sides, laid out as
+        ``_numeric_counts`` lays out boundaries; a test's position is its
+        value index."""
+        ml, k = self.params.min_instances_per_leaf, rows.size
+        bins, n_bins = self.bins[:, rows], self.bin_value.size
+        w_all = np.bincount(bins.ravel(), minlength=n_bins)
+        w_one = np.bincount(bins[:, self.first.take(rows) > 0].ravel(), minlength=n_bins)
+        ok = (w_all >= ml) & (w_all <= k - ml)
+        return self.bin_slot[ok], w_all[ok], w_one[ok], self.bin_value[ok]
+
+    # -- weighted: cumulative sums -------------------------------------
+
+    def _summed_tests(self, order, codes):
+        """As ``_counted_tests``, for any weights: the weights are summed
+        in list order and every ``x log2 x`` term is computed."""
+        parts = []
+        if self.numeric:
+            parts.append(self._numeric_sums(order, codes))
+        if self.nominal:
+            parts.append(self._nominal_sums(order[-1]))
         if len(parts) == 2:  # numeric slots come first, so slots still ascend
             parts = [tuple(map(np.concatenate, zip(*parts)))]
         # popped, so that each unfiltered array is freed once filtered
@@ -346,36 +529,14 @@ class _Grower:
         parent = (x_sum - x_1 - x_2)[a]
         gains = parent - ((xl_sum - xl_1 - xl_2) + (xr_sum - xr_1 - xr_2))
         split_info = x_w[a] - xl_w - xr_w
+        return a, pos, gains, split_info
 
-        # per slot (a run of candidates), the first within _EPS of the
-        # slot's highest gain: the lowest threshold or value of the best
-        starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
-        top = np.zeros(s)
-        top[a[starts]] = np.maximum.reduceat(gains, starts)
-        hit = np.flatnonzero(gains >= (top - _EPS)[a])
-        hit_slot = a[hit]
-        best = hit[np.concatenate(([True], hit_slot[1:] != hit_slot[:-1]))]
-
-        # a numeric threshold is the midpoint of the values of the rows
-        # either side of the boundary, a nominal one the value's index
-        slots, pos = a[best], pos[best]
-        attrs = self.slot_attr[slots]
-        thresholds = pos.astype(float)
-        n = slots.searchsorted(len(self.numeric))
-        if n:
-            ra, ri, cols = slots[:n], pos[:n] - slots[:n] * (hi - lo), attrs[:n]
-            ids = self.order[:-1, lo:hi]
-            below = self.values[ids[ra, ri], cols]
-            above = self.values[ids[ra, ri + 1], cols]
-            thresholds[:n] = (below + above) / 2.0
-        return attrs, gains[best], split_info[best], thresholds
-
-    def _numeric_candidates(self, lo, hi):
-        """The code boundaries of the node ``lo:hi``: per slot the weight
-        and class-1 weight, per candidate its slot, the weights left of it
-        and its position, a flat index into the (slot, row) lists."""
-        m, k = len(self.numeric), hi - lo
-        ids = self.order[:m, lo:hi]
+    def _numeric_sums(self, order, codes):
+        """The code boundaries of a node: per slot the weight and class-1
+        weight, per candidate its slot, the weights left of it and its
+        position, a flat index into the ``(m, k)`` lists."""
+        m, k = codes.shape
+        ids = order[:m]
         cw = self._cw[: m * k].reshape(m, k)
         cw1 = self._cw1[: m * k].reshape(m, k)
         np.take(self.weights, ids, out=cw, mode="clip")
@@ -384,7 +545,6 @@ class _Grower:
         total_1 = cw1.sum(axis=1)
         np.cumsum(cw, axis=1, out=cw)
         np.cumsum(cw1, axis=1, out=cw1)
-        codes = self.sorted_codes[:, lo:hi]
         boundary = self._boundary[: m * (k - 1)].reshape(m, k - 1)
         np.less(codes[:, :-1], codes[:, 1:], out=boundary)
         at = np.flatnonzero(boundary)
@@ -392,38 +552,36 @@ class _Grower:
         at += a  # from (m, k - 1) to (m, k) positions
         return total_w, total_1, a, cw.take(at), cw1.take(at), at
 
-    def _nominal_candidates(self, rows, weights):
+    def _nominal_sums(self, rows):
         """The ``value vs rest`` tests of the node with ``rows``, laid out
-        as ``_numeric_candidates`` lays out boundaries; a test's position
-        is its value index.  Each bin adds its rows' weights in row order,
-        as a bincount of its own column would, and each column sums its
-        own bins."""
+        as ``_numeric_sums`` lays out boundaries.  Each bin adds its rows'
+        weights in row order, as a bincount of its own column would, and
+        each column sums its own bins."""
         bins = self.bins[:, rows].ravel()
         q, n_bins = len(self.nominal), self.bin_value.size
-        w_all = np.bincount(bins, np.tile(weights, q), n_bins)
+        w_all = np.bincount(bins, np.tile(self.weights[rows], q), n_bins)
         w_one = np.bincount(bins, np.tile(self.weighted_target[rows], q), n_bins)
         total_w = np.array([w_all[s:e].sum() for s, e in self.bin_ranges])
         total_1 = np.array([w_one[s:e].sum() for s, e in self.bin_ranges])
         return total_w, total_1, self.bin_slot, w_all, w_one, self.bin_value
 
-    def _partition(self, lo, hi, rows, go_left):
-        """Stable-partition the node range, left rows first, in every row
-        of ``order`` and ``sorted_codes``; returns the left row count."""
+    def _partition(self, lo, hi, buf, rows, go_left):
+        """Stable-partition the node's blocks, left rows first in every
+        list, into the same ranges of the other buffers; returns the left
+        row count."""
         self._go_left[rows] = go_left
         n_left = int(np.count_nonzero(go_left))
-        n_right = hi - lo - n_left
-        to_left = self._go_left[self.order[:, lo:hi]]
-        for lists, left in (
-            (self.order[:, lo:hi], to_left),
-            (self.sorted_codes[:, lo:hi], to_left[:-1]),
-        ):
-            # compress reads row by row, so each row keeps its order; it
-            # beats boolean indexing on masks as irregular as these
-            left, flat = left.ravel(), lists.ravel()
-            lists[:, :n_left], lists[:, n_left:] = (
-                np.compress(left, flat).reshape(-1, n_left),
-                np.compress(~left, flat).reshape(-1, n_right),
-            )
+        mid, m = lo + n_left, len(self.numeric)
+        left = self._go_left.take(self._order[buf][(m + 1) * lo : (m + 1) * hi])
+        # positions in the block, read row by row, so each list keeps its
+        # order; every row has n_left of them, so the codes block's are a
+        # prefix of the order block's
+        to_left = left.nonzero()[0]
+        to_right = np.logical_not(left, out=left).nonzero()[0]
+        for lists, width in ((self._order, m + 1), (self._codes, m)):
+            block, dst = lists[buf][width * lo : width * hi], lists[1 - buf]
+            block.take(to_left[: width * n_left], out=dst[width * lo : width * mid], mode="clip")
+            block.take(to_right[: width * (hi - mid)], out=dst[width * mid : width * hi], mode="clip")
         return n_left
 
 

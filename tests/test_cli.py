@@ -37,8 +37,11 @@ def blob_arff(tmp_path):
     return path
 
 
-def config_text(data_path, out_dir, extra=""):
-    return f"""
+def config_text(data_path, out_dir, extra="", replace=False):
+    """A two-method config with the line(s) ``extra`` after it or, with
+    ``replace``, the one ``key = value`` line ``extra`` in place of the
+    base line that sets ``key``."""
+    text = f"""
 # tiny experiment
 dataset = {data_path} format=csv class_col=2
 k = 2
@@ -47,8 +50,13 @@ seed = 5
 out = {out_dir}
 method = name=rpnd strategy=random_pair learner=tree min_leaf=1 prune=false
 method = name=nd strategy=random learner=tree min_leaf=1 prune=false
-{extra}
+{"" if replace else extra}
 """
+    if replace:
+        key = extra.partition("=")[0]
+        (base,) = [line for line in text.splitlines() if line.partition("=")[0] == key]
+        text = text.replace(base, extra)
+    return text
 
 
 def test_parse_config_round_trip(tiny_dataset_file, tmp_path):
@@ -235,45 +243,46 @@ def test_cli_value_below_one_exit_two(
 
 
 @pytest.mark.parametrize(
-    "extra, reason",
+    "extra, reason, replace",
     [
-        ("jobs = 0", "jobs must be >= 1"),
-        ("subsample_cap = 0", "subsample_cap must be >= 1"),
-        ("reference = missing", "reference method 'missing' not in the method list"),
+        ("jobs = 0", "jobs must be >= 1", False),
+        ("subsample_cap = 0", "subsample_cap must be >= 1", False),
+        ("reference = missing", "reference method 'missing' not in the method list", False),
         # repeats "nd"
-        ("method = name=nd strategy=random learner=logistic", "'nd' repeats"),
+        ("method = name=nd strategy=random learner=logistic", "'nd' repeats", False),
         # a params check is reported under the option's token, not its field
-        ("method = name=m learner=logistic ridge=-1", "ridge must be >= 0 and finite"),
-        ("method = name=m learner=logistic tol=0", "tol must be > 0 and finite"),
-        ("method = name=m tol=nan", "tol must be > 0 and finite"),
-        ("method = name=m learner=logistic max_iter=0", "max_iter must be >= 1"),
-        ("method = name=m learner=tree min_leaf=0", "min_leaf must be >= 1"),
-        ("method = name=m learner=tree cf=0", "cf must be in (0, 0.5]"),
-        ("method = name=m learner=tree cf=0.9", "cf must be in (0, 0.5]"),
+        ("method = name=m learner=logistic ridge=-1", "ridge must be >= 0 and finite", False),
+        ("method = name=m learner=logistic tol=0", "tol must be > 0 and finite", False),
+        ("method = name=m tol=nan", "tol must be > 0 and finite", False),
+        ("method = name=m learner=logistic max_iter=0", "max_iter must be >= 1", False),
+        ("method = name=m learner=tree min_leaf=0", "min_leaf must be >= 1", False),
+        ("method = name=m learner=tree cf=0", "cf must be in (0, 0.5]", False),
+        ("method = name=m learner=tree cf=0.9", "cf must be in (0, 0.5]", False),
         ("method = name=m learner=logistic min_leaf=7 cf=0.4",
-         "'min_leaf' is a tree option, not a logistic one"),
-        ("method = name=m learner=tree ridge=1", "'ridge' is a logistic option, not a tree one"),
-        ("method = name=m ridge=inf", "ridge must be >= 0 and finite"),
-        ("method = name=m tol=inf", "tol must be > 0 and finite"),
-        ("method = name=m strategy=random_pair cap=0", "cap must be >= 1"),
-        ("method = name=m ensemble=bagging size=0", "size must be >= 1"),
-        ("seed = -1", "seed must be >= 0"),
-        ("k = 1", "k must be >= 2"),
-        ("k = 0", "k must be >= 2"),
-        ("repeats = 0", "repeats must be >= 1"),
+         "'min_leaf' is a tree option, not a logistic one", False),
+        ("method = name=m learner=tree ridge=1", "'ridge' is a logistic option, not a tree one", False),
+        ("method = name=m ridge=inf", "ridge must be >= 0 and finite", False),
+        ("method = name=m tol=inf", "tol must be > 0 and finite", False),
+        ("method = name=m strategy=random_pair cap=0", "cap must be >= 1", False),
+        ("method = name=m ensemble=bagging size=0", "size must be >= 1", False),
+        ("seed = -1", "seed must be >= 0", True),
+        ("k = 1", "k must be >= 2", True),
+        ("k = 0", "k must be >= 2", True),
+        ("repeats = 0", "repeats must be >= 1", True),
+        ("seed = 7", "config keys must be unique: 'seed' repeats (first seed at line 6)", False),
     ],
     ids=[
         "jobs", "subsample_cap", "reference", "duplicate-method",
         "ridge", "tol", "tol-nan", "max_iter", "min_leaf", "cf-zero", "cf-high",
         "tree-option-on-logistic", "ridge-on-tree", "ridge-inf", "tol-inf", "cap", "size",
-        "seed", "k-one", "k-zero", "repeats",
+        "seed", "k-one", "k-zero", "repeats", "duplicate-seed",
     ],
 )
 def test_config_value_error_reports_its_line(
-    tiny_dataset_file, tmp_path, capsys, extra, reason
+    tiny_dataset_file, tmp_path, capsys, extra, reason, replace
 ):
     out = tmp_path / "out"
-    text = config_text(tiny_dataset_file, out, extra)
+    text = config_text(tiny_dataset_file, out, extra, replace)
     line = text.splitlines().index(extra) + 1
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -289,6 +298,28 @@ def test_config_value_error_reports_its_line(
     assert captured.err == f"config error: {err.value}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("k", "3"), ("repeats", "2"), ("seed", "7"), ("reference", "nd"), ("out", "elsewhere"),
+     ("jobs", "2"), ("subsample_cap", "50")],
+)
+def test_repeated_scalar_key_is_a_config_error(tiny_dataset_file, tmp_path, key, value):
+    # each key once is valid; set twice, the second line is the error and
+    # names the first
+    line = f"{key} = {value}"
+    base_keys = ("k", "repeats", "seed", "out")
+    once = config_text(tiny_dataset_file, tmp_path / "out", line, key in base_keys)
+    parse_config(once)
+    first = once.splitlines().index(line) + 1
+    twice = f"{once}{line}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(twice)
+    assert err.value.line == len(twice.splitlines())
+    assert str(err.value).endswith(
+        f": config keys must be unique: {key!r} repeats (first {key} at line {first})"
+    )
 
 
 @pytest.mark.parametrize(

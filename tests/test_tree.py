@@ -6,11 +6,12 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_dataset, simple_dataset
+from conftest import gaussian_dataset, load_uci, simple_dataset
 from nested_dichotomies._special import ndtri
 from nested_dichotomies.data import AttributeSpec, Dataset
 from nested_dichotomies.errors import SingleClass
 from nested_dichotomies.learners import TreeParams, fit_tree
+from nested_dichotomies.learners import tree as tree_module
 from nested_dichotomies.learners.base import binary_class_info
 from nested_dichotomies.learners.tree import (
     _EPS,
@@ -102,6 +103,32 @@ def test_threshold_is_midpoint_and_ties_prefer_low_attribute():
     assert m.root.threshold == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("weights", [None, [1.0, 2.0, 1.0, 0.5]], ids=["unit", "weighted"])
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # adjacent doubles, the upper one with an even last mantissa bit:
+        # the midpoint rounds up to it
+        (1.0 + 2.0**-52, 1.0 + 2.0**-51),
+        # the sum overflows to +inf or -inf
+        (1e308, 1.5e308),
+        (-1.5e308, -1e308),
+    ],
+    ids=["round-up", "overflow-up", "overflow-down"],
+)
+def test_midpoint_outside_the_values_splits_at_the_lower_value(a, b, weights):
+    # "x <= midpoint" would send every row to one side
+    with np.errstate(over="ignore"):
+        assert not a <= (a + b) / 2.0 < b
+    d = two_class([[a, 0], [a, 0], [b, 1], [b, 1]])
+    if weights is not None:
+        d = d.with_weights(weights)
+    with np.errstate(over="ignore"):
+        m = fit_tree(d, TreeParams(min_instances_per_leaf=1))
+    assert m.root.threshold == a
+    assert m.predict_prob_batch(d.values).tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
 def test_deterministic_refit_bitwise():
     d = gaussian_dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), per_class=40, seed=7)
     m1 = fit_tree(d)
@@ -185,6 +212,41 @@ def test_add_errs_matches_c45_convention():
     # interior values stay positive and below N
     v = add_errs(20.0, 5.0, 0.25)
     assert 0 < v < 20
+
+
+def _ref_add_errs(n, e, cf):
+    # the square root taken by numpy, as before add_errs used math.sqrt
+    if n <= 0:
+        return 0.0
+    if e < 1:
+        base = n * (1.0 - cf ** (1.0 / n))
+        if e == 0:
+            return base
+        return base + e * (_ref_add_errs(n, 1.0, cf) - base)
+    if e + 0.5 >= n:
+        return max(n - e, 0.0)
+    z = ndtri(1.0 - cf)
+    f = (e + 0.5) / n
+    r = (f + z * z / (2.0 * n) + z * np.sqrt(f / n - f * f / n + z * z / (4 * n * n))) / (
+        1.0 + z * z / n
+    )
+    return r * n - e
+
+
+def test_add_errs_matches_numpy_sqrt_form_bitwise():
+    # both square roots are correctly rounded, so every branch agrees bit
+    # for bit; n and e run over counts and over fractional weights
+    rng = np.random.default_rng(12)
+    ns = [0.5, 1.0, 2.0, 3.0, 7.5, 10.0, 33.0, 100.0, 1234.0, 9890.0, *rng.uniform(0.1, 5000, 40)]
+    checked = 0
+    for cf in (0.001, 0.05, 0.1, 0.25, 1.0 / 3.0, 0.5):
+        for n in ns:
+            es = [0.0, 0.25, 0.5, 0.999, 1.0, n / 2, n - 0.5, n, *rng.uniform(0, n, 10)]
+            for e in es:
+                got, want = add_errs(float(n), float(e), cf), _ref_add_errs(float(n), float(e), cf)
+                assert float(got).hex() == float(want).hex(), (n, e, cf)
+                checked += 1
+    assert checked == 6 * len(ns) * 18
 
 
 def _neighbours(x: float, count: int = 4) -> list[float]:
@@ -397,7 +459,7 @@ _FRACTIONS = (0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.0, 1.5, 2.0, 3.0)
 
 
 @st.composite
-def _tree_problems(draw):
+def _tree_problems(draw, unit=False):
     n = draw(st.integers(2, 60))
     kinds = draw(st.lists(st.sampled_from(("numeric", "nominal")), min_size=1, max_size=4))
     class_at = draw(st.integers(0, len(kinds)))
@@ -422,7 +484,7 @@ def _tree_problems(draw):
         labels[0] ^= 1  # both classes present
     attrs.insert(class_at, AttributeSpec("class", ("a", "b")))
     cols.insert(class_at, labels)
-    weights = draw(st.lists(st.sampled_from(_FRACTIONS), min_size=n, max_size=n))
+    weights = None if unit else draw(st.lists(st.sampled_from(_FRACTIONS), min_size=n, max_size=n))
     d = Dataset(attrs, np.asarray(cols, dtype=float).T, class_at, weights=weights)
     params = TreeParams(
         min_instances_per_leaf=draw(st.integers(1, 5)),
@@ -473,12 +535,21 @@ def test_presorted_search_matches_per_attribute_reference(problem):
     _assert_fits_reference(*problem)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_tree_problems(unit=True))
+def test_presorted_search_matches_per_attribute_reference_unit_weights(problem):
+    # unit weights take the counting path
+    _assert_fits_reference(*problem)
+
+
 def _assert_root_candidates_match(d, params):
     # gains and split info, not only the chosen split: a last-bit change in
     # the sums would rarely show in the model text
     _, _, target = binary_class_info(d)
     grower = _Grower(d, target, params)
-    best = grower._best_tests(0, d.n_instances, np.arange(d.n_instances), d.weights)
+    assert grower.counts == bool((d.weights == 1.0).all())
+    order, codes = grower._block(0, d.n_instances, 0)
+    best = grower._best_tests(order, codes, float(d.weights @ target))
     got = []
     if best is not None:
         attrs, gains, split_info, thresholds = best
@@ -506,6 +577,70 @@ def _assert_root_candidates_match(d, params):
 @given(_tree_problems())
 def test_root_candidates_match_reference_bitwise(problem):
     _assert_root_candidates_match(*problem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_problems(unit=True))
+def test_root_candidates_match_reference_bitwise_unit_weights(problem):
+    _assert_root_candidates_match(*problem)
+
+
+def _pendigits_root():
+    # a training set of pendigits' size in 10-fold cross-validation, its
+    # ten classes relabeled to two, as at the root of an RPND tree
+    d = load_uci("pendigits")
+    rng = np.random.default_rng(5)
+    train = d.subset(np.sort(rng.permutation(d.n_instances)[:9890]))
+    return train.relabel_binary(tuple(rng.choice(10, size=5, replace=False).tolist()))
+
+
+def _segment_pair():
+    return load_uci("segment").restrict_to_classes((2, 4))  # foliage, window
+
+
+def _root_tests_and_model(d, params):
+    """Which path the fit takes, the root's best tests as bits, and the
+    fitted model's text."""
+    _, _, target = binary_class_info(d)
+    grower = _Grower(d, target, params)
+    order, codes = grower._block(0, d.n_instances, 0)
+    attrs, *values = grower._best_tests(order, codes, float(d.weights @ target))
+    bits = [attrs.tolist()] + [[float(x).hex() for x in v] for v in values]
+    return grower.counts, bits, fit_tree(d, params).to_lines()
+
+
+_REAL_PARAMS = (TreeParams(), TreeParams(min_instances_per_leaf=1, use_gain_ratio=False))
+
+
+@pytest.mark.parametrize("make", [_pendigits_root, _segment_pair], ids=["pendigits", "segment"])
+def test_counting_matches_summing_on_real_node_sizes(make, monkeypatch):
+    # thousands of rows a list: the sums leave numpy's 8- and 128-element
+    # pairwise blocks, and both buffers of the lists are used many times
+    d = make()
+    assert (d.weights == 1.0).all() and d.n_instances in (9890, 660)
+    _assert_root_candidates_match(d, TreeParams())
+    for params in _REAL_PARAMS:
+        counted = _root_tests_and_model(d, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_module, "_unit_weights", lambda weights: False)
+            summed = _root_tests_and_model(d, params)
+        assert counted[0] and not summed[0]
+        assert counted[1] == summed[1]
+        assert counted[2] == summed[2]
+        assert len(counted[2]) > 20
+
+
+@pytest.mark.parametrize("odd", [2.0, 0.5])
+def test_near_unit_weights_take_the_summing_path(odd):
+    pair = _segment_pair()
+    weights = np.ones(pair.n_instances)
+    weights[17] = odd
+    d = pair.with_weights(weights)
+    _, _, target = binary_class_info(d)
+    assert not _Grower(d, target, TreeParams()).counts
+    for params in _REAL_PARAMS:
+        _assert_root_candidates_match(d, params)
+        _assert_fits_reference(d, params)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
