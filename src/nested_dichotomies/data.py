@@ -22,12 +22,15 @@ among the column's distinct values, so codes order and tie exactly as the
 values do (``-0.0`` ties ``0.0``).  ``Dataset.codes`` holds them in one
 matrix, one column per numeric attribute in attribute order, as
 ``uint16`` when no numeric column has more than 65,536 distinct values
-and ``uint32`` otherwise.  A dataset built from raw values computes them
-once; the datasets derived from it (``subset``, ``restrict_to_classes``,
-``relabel_binary``, ``with_weights`` and so every split, resample and
-node dataset) slice the parent's codes instead, so a derived dataset's
-codes may skip ranks but never reorder.  Datasets, codes included, are
-immutable after construction and safe to share across threads.
+and ``uint32`` otherwise; ``Dataset.code_values`` holds, per column, the
+value each code stands for (its distinct values in ascending order).  A
+dataset built from raw values computes them once; the datasets derived
+from it (``subset``, ``restrict_to_classes``, ``relabel_binary``,
+``with_weights`` and so every split, resample and node dataset) slice
+the parent's codes and share its code values instead, so a derived
+dataset's codes may skip ranks but never reorder.  Datasets, codes
+included, are immutable after construction and safe to share across
+threads.
 
 Values are validated where they enter the program: ``parse_arff``,
 ``parse_csv`` and ``Dataset(...)`` check every value and weight.  A
@@ -88,7 +91,7 @@ class Instance:
 class Dataset:
     """Immutable table of instances with one nominal class attribute."""
 
-    __slots__ = ("attributes", "values", "weights", "class_attribute", "codes")
+    __slots__ = ("attributes", "values", "weights", "class_attribute", "codes", "code_values")
 
     def __init__(
         self,
@@ -126,17 +129,17 @@ class Dataset:
                             f"attribute {spec.name!r}: nominal index out of range"
                         )
         numeric = [j for j, spec in enumerate(attributes) if not spec.is_nominal]
-        codes = _order_codes(values, numeric)
-        self._fill(attributes, values, class_attribute, weights, codes)
+        codes, code_values = _order_codes(values, numeric)
+        self._fill(attributes, values, class_attribute, weights, codes, code_values)
 
     def _derive(self, attributes, values, weights, codes) -> "Dataset":
         """A dataset of arrays sliced or copied from this one's.  Trusted:
         this one was validated, so nothing is checked again."""
         d = object.__new__(Dataset)
-        d._fill(attributes, values, self.class_attribute, weights, codes)
+        d._fill(attributes, values, self.class_attribute, weights, codes, self.code_values)
         return d
 
-    def _fill(self, attributes, values, class_attribute, weights, codes):
+    def _fill(self, attributes, values, class_attribute, weights, codes, code_values):
         values.flags.writeable = False
         weights.flags.writeable = False
         codes.flags.writeable = False
@@ -145,6 +148,7 @@ class Dataset:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "class_attribute", class_attribute)
         object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "code_values", code_values)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -251,17 +255,21 @@ def _checked_weights(weights, n: int) -> np.ndarray:
     return weights
 
 
-def _order_codes(values: np.ndarray, columns) -> np.ndarray:
+def _order_codes(values: np.ndarray, columns) -> tuple[np.ndarray, tuple]:
     """Per column of ``values`` named in ``columns``, each value's rank
     among the column's distinct values, as ``uint16`` when every one of
     these columns has at most 65,536 distinct values and ``uint32``
-    otherwise."""
+    otherwise; and per column its distinct values in ascending order,
+    read-only, so that code ``c`` stands for the ``c``-th of them."""
     codes = np.empty((values.shape[0], len(columns)), dtype=np.uint32)
+    code_values = []
     for out, j in enumerate(columns):
-        codes[:, out] = np.unique(values[:, j], return_inverse=True)[1]
+        distinct, codes[:, out] = np.unique(values[:, j], return_inverse=True)
+        distinct.flags.writeable = False
+        code_values.append(distinct)
     if codes.size == 0 or codes.max() < 1 << 16:
         codes = codes.astype(np.uint16)
-    return codes
+    return codes, tuple(code_values)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,26 @@ probabilistic model interface used at every dichotomy node."""
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from ..data import Dataset, Instance
-from ..errors import EncodingMismatch, SingleClass
+from ..errors import EncodingMismatch, InvalidParam, SingleClass
+
+
+def check_count(field: str, value, minimum: int) -> None:
+    """Raise :class:`InvalidParam` for ``field`` unless ``value`` is an
+    integer of at least ``minimum``: what ``operator.index`` takes, bools
+    aside."""
+    if isinstance(value, bool):
+        raise InvalidParam(field, "must be an integer")
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidParam(field, "must be an integer") from None
+    if value < minimum:
+        raise InvalidParam(field, f"must be >= {minimum}")
 
 
 class FeatureEncoder:

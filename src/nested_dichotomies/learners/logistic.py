@@ -25,7 +25,7 @@ except ImportError:  # numpy's private module layout moved: use the wrapper
 
 from ..data import Dataset
 from ..errors import DidNotConverge, InvalidParam
-from .base import BinaryModel, FeatureEncoder, binary_class_info
+from .base import BinaryModel, FeatureEncoder, binary_class_info, check_count
 
 _MAX_HALVINGS = 50
 
@@ -40,8 +40,7 @@ class LogisticParams:
         # written so that NaN fails the checks
         if not 0.0 <= self.ridge < math.inf:
             raise InvalidParam("ridge", "must be >= 0 and finite")
-        if self.max_iterations < 1:
-            raise InvalidParam("max_iterations", "must be >= 1")
+        check_count("max_iterations", self.max_iterations, 1)
         if not 0.0 < self.gradient_tolerance < math.inf:
             raise InvalidParam("gradient_tolerance", "must be > 0 and finite")
 

@@ -13,32 +13,43 @@ When a node is impure but no candidate split has positive gain (XOR-like
 data), the lowest-indexed feasible split is taken anyway; growth still
 terminates because both sides must receive at least the per-leaf minimum.
 
-Numeric split search follows the attribute lists of SLIQ (Mehta, Agrawal
-and Rissanen, 1996), kept as the dataset's order codes (see ``data``)
-rather than float values: each numeric column's codes are stable-sorted
-once per fit, which numpy runs as a radix sort on 16-bit codes.  The
-lists are stored node-major: a node's rows own one contiguous block that
-holds every list of the node, and a split stable-partitions that block
-into the same range of a second buffer, where the children's blocks
-then lie; the two buffers swap roles at each level.  So each node sees
-its rows in the order its own stable sort would give.  Codes order and
-tie as the values do, so the order, and so the model, is the one a
-stable sort of the values gives.  A node scores every attribute in one
-pass over one set of candidate tests: the code boundaries of the sorted
-lists and the ``value vs rest`` tests, weighed by one ``bincount`` over
-all nominal columns.  Only tests that leave the per-leaf minimum on both
-sides count; every ``x log2 x`` term of the node is taken in one
-vectorized pass, each attribute keeps its best test, and the attributes
-compete in one array.
+Split search works on the dataset's order codes (see ``data``) rather
+than on float values: codes order and tie as the values do, so each
+numeric boundary and so each model is the one a stable sort of the
+values gives.  A node scores every attribute in one pass over one set of
+candidate tests, the numeric code boundaries and the nominal ``value vs
+rest`` tests; only tests that leave the per-leaf minimum on both sides
+count, every ``x log2 x`` term of the node is taken in one vectorized
+pass, each attribute keeps its best test, and the attributes compete in
+one array.
 
-With unit weights, as parsing, folds and resampling produce, every
-weight the search forms is an integer count, exact in any order of
-summation, so boundaries are weighed by counting: a boundary's left
-weight is the number of rows before it in its list, its class-1 weight
-a running count over the runs of equal codes, and each ``x log2 x``
-term a lookup in a table over ``0..n``.  Other weights are summed
-cumulatively in list order, as a search over one attribute at a time
-would sum them.  Both give the same gains, bit for bit.
+The weights of the tests are formed in one of three ways, chosen per fit
+from its data, with no option; all three give the same gains, bit for
+bit, and so the same trees:
+
+* Class-count histograms, for unit weights (as parsing, folds and
+  resampling produce) when the histogram has no more cells than the fit
+  has rows.  A feature has one cell per code in the fit's range (a
+  nominal one per value), every feature padded to the widest, and each
+  cell holds its rows of either class.  One ``bincount`` counts a node;
+  a split counts only its smaller child and takes the larger as the
+  parent minus it, as in LightGBM (Ke et al., 2017).  A boundary's left
+  counts are running sums over the cells and each ``x log2 x`` term a
+  lookup in a table over ``0..n``.  No attribute is sorted.
+* Sorted attribute lists, as in SLIQ (Mehta, Agrawal and Rissanen,
+  1996), counted, for unit weights when the histogram would have more
+  cells than rows (many distinct values on few rows, where walking the
+  cells costs more than walking the rows).  Each numeric column's codes
+  are stable-sorted once per fit, a radix sort on 16-bit codes, and kept
+  node-major: a node's rows own one contiguous block holding every list
+  of the node, and a split stable-partitions that block into the same
+  range of a second buffer.  A boundary's left count is its position in
+  its list, its class-1 count a running count over the runs of equal
+  codes, and the ``x log2 x`` terms come from the same table.
+* The same lists with weights summed cumulatively in list order, as a
+  search over one attribute at a time would sum them, for any other
+  weights: only unit weights make every sum an exact count, the same in
+  any order of summation.
 
 Pruning is pessimistic-error pruning: a subtree collapses to a leaf when
 the leaf's upper-confidence error estimate does not exceed the subtree's.
@@ -60,7 +71,7 @@ import numpy as np
 from .._special import ndtri
 from ..data import Dataset
 from ..errors import InvalidParam
-from .base import BinaryModel, binary_class_info
+from .base import BinaryModel, binary_class_info, check_count
 
 _EPS = 1e-12
 
@@ -73,8 +84,7 @@ class TreeParams:
     prune: bool = True
 
     def __post_init__(self):
-        if self.min_instances_per_leaf < 1:
-            raise InvalidParam("min_instances_per_leaf", "must be >= 1")
+        check_count("min_instances_per_leaf", self.min_instances_per_leaf, 1)
         if not 0.0 < self.pruning_confidence <= 0.5:
             raise InvalidParam("pruning_confidence", "must be in (0, 0.5]")
 
@@ -208,41 +218,50 @@ def _unit_weights(weights: np.ndarray) -> bool:
     return bool((weights == 1.0).all())
 
 
-class _Grower:
-    """Grows one unpruned tree over attribute lists sorted once per fit.
+def _cell_width(d: Dataset) -> int:
+    """The code range of the widest feature of ``d``: a numeric column's
+    highest code plus one, or a nominal attribute's value count."""
+    widths = [
+        len(spec.values)
+        for j, spec in enumerate(d.attributes)
+        if spec.is_nominal and j != d.class_attribute
+    ]
+    if d.codes.size:
+        widths.append(int(d.codes.max()) + 1)
+    return max(widths, default=0)
 
-    With ``m`` numeric attributes, the node over rows ``lo:hi`` (``k``
-    rows) owns the flat block ``(m+1)*lo:(m+1)*hi`` of an order buffer
-    and ``m*lo:m*hi`` of a codes buffer.  Read as ``(m+1, k)``, row ``a``
-    of the order block lists the node's row ids by ascending code of
-    numeric attribute ``numeric[a]`` (stable, so ties keep row order) and
-    its last row lists them in dataset order; read as ``(m, k)``, the
-    codes block holds the codes in that order.  Each list comes as two
-    buffers: a split stable-partitions the node's block, left rows first
-    in every row, into the same range of the other buffer, where the
-    children's blocks then lie, so a node at depth ``d`` reads buffer
-    ``d % 2`` and each node's block is its own stable sort.
+
+def _grower(d: Dataset, target, params) -> "_Grower":
+    """The grower for one fit, chosen from its data: class-count histograms
+    for unit weights when the histogram, one row of ``_cell_width`` cells
+    per feature, has no more cells than the fit has rows; sorted attribute
+    lists otherwise, counting for unit weights and summing for others."""
+    if not _unit_weights(d.weights):
+        return _ListGrower(d, target, params, counts=False)
+    width = _cell_width(d)
+    if (d.n_attributes - 1) * width <= d.n_instances:
+        return _HistogramGrower(d, target, params, width)
+    return _ListGrower(d, target, params, counts=True)
+
+
+class _Grower:
+    """What the growers share: the growth loop, the choice of a node's split
+    among the best test of each attribute, and the gains of counted tests.
+
+    A subclass keeps each pending node as a ``state`` and gives the root's
+    (``_root``), the best test of every attribute at a node (``_best``),
+    the values either side of a numeric boundary (``_bounds``) and the
+    growing of one node (``_split``).
 
     Slot ``s`` scores attribute ``slot_attr[s]``, numeric ones first.  A
     candidate test is a slot with the weight and class-1 weight on its
-    left side; each slot also has the node's weight and class-1 weight.
-    Nominal tests are weighed by one ``bincount`` over every nominal
-    column, each column's codes offset to its own run of bins.
-
-    When every weight is 1, each of these weights is a count, exact in
-    any order of summation, and is counted: a boundary's left weight is
-    its position in the list plus one, its class-1 weight is a running
-    count of class-1 rows over the runs of equal codes, and every
-    ``x log2 x`` term is read from a table over ``0..n``.  Otherwise the
-    weights are cumulative sums in list order, as a per-attribute search
-    would form them.  Either way the gains are the same bits.
+    left side; numeric candidates ascend by code within their slot and
+    nominal ones by value index, which is the order that breaks ties.
     """
 
-    def __init__(self, d: Dataset, target, params):
-        n = d.n_instances
+    def __init__(self, d: Dataset, target, params, counts):
         self.values = d.values
         self.target = target
-        self.weights = d.weights
         self.nominal_sizes = tuple(
             len(spec.values) if spec.is_nominal else 0 for spec in d.attributes
         )
@@ -253,80 +272,35 @@ class _Grower:
         self.slot_attr = np.array(self.numeric + self.nominal, dtype=np.intp)
         self.params = params
         self.min_leaf = float(params.min_instances_per_leaf)
-
-        m = len(self.numeric)
-        codes = np.ascontiguousarray(d.codes.T)
-        order = np.empty((m + 1, n), dtype=np.intp)
-        order[:m] = np.argsort(codes, axis=1, kind="stable")
-        order[m] = np.arange(n)
-        sorted_codes = np.take_along_axis(codes, order[:m], axis=1)
-        self._order = (order.ravel(), np.empty_like(order.ravel()))
-        self._codes = (sorted_codes.ravel(), np.empty_like(sorted_codes.ravel()))
-        self._go_left = np.empty(n, dtype=bool)
-
-        self.counts = _unit_weights(d.weights)
-        if self.counts:
+        self.counts = counts
+        if counts:
             self.first = target.astype(np.intp)
-            self._first_sorted = np.empty(m * n, dtype=np.intp)
-            self._starts = np.empty(m * n, dtype=bool)
-            self._xlx = _xlog2x(np.arange(n + 1, dtype=np.float64))
-        else:
-            self.weighted_target = d.weights * target
-            self._cw = np.empty(m * n)
-            self._cw1 = np.empty(m * n)
-            self._boundary = np.empty(m * n, dtype=bool)
-
-        # nominal column i's codes, offset to its own run bin_ranges[i] of
-        # bins; each bin's slot and value index
-        sizes = [self.nominal_sizes[j] for j in self.nominal]
-        offsets = np.cumsum([0] + sizes)
-        self.bin_ranges = tuple(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-        self.bins = d.values[:, self.nominal].T.astype(np.intp) + offsets[:-1, None]
-        self.bin_slot = np.repeat(np.arange(m, m + len(sizes)), sizes)
-        self.bin_value = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
-
-    def _block(self, lo, hi, buf):
-        """The ``(m+1, k)`` order block and ``(m, k)`` codes block of the
-        node ``lo:hi`` in buffer ``buf``."""
-        m, k = len(self.numeric), hi - lo
-        order = self._order[buf][(m + 1) * lo : (m + 1) * hi].reshape(m + 1, k)
-        return order, self._codes[buf][m * lo : m * hi].reshape(m, k)
+            self._xlx = _xlog2x(np.arange(d.n_instances + 1, dtype=np.float64))
 
     def grow(self):
         """The unpruned tree over every row, grown depth first from an
         explicit stack."""
         root = None
-        pending = [(0, self._go_left.size, None, "", 0)]
+        pending = [(self._root(), None, "")]
         while pending:
-            lo, hi, parent, side, buf = pending.pop()
-            node, mid = self._split(lo, hi, buf)
+            state, parent, side = pending.pop()
+            node, children = self._split(state)
             if parent is None:
                 root = node
             else:
                 setattr(parent, side, node)
-            if mid is not None:
-                pending.append((mid, hi, node, "right", 1 - buf))
-                pending.append((lo, mid, node, "left", 1 - buf))
+            for child_side, child in children:  # the last one grows first
+                pending.append((child, node, child_side))
         return root
 
-    def _split(self, lo, hi, buf):
-        """``(leaf, None)`` for the node ``lo:hi``, or ``(node, mid)`` with
-        the children of ``node`` still to grow over ``lo:mid`` and
-        ``mid:hi``, their blocks in the other buffer."""
-        order, codes = self._block(lo, hi, buf)
-        rows = order[-1]
-        if self.counts:
-            w_total = float(hi - lo)
-            w1 = float(self.first.take(rows).sum())
-        else:
-            weights = self.weights[rows]
-            w1 = float(weights @ self.target[rows])
-            w_total = float(weights.sum())
-        w2 = w_total - w1
-
-        if w1 <= 0 or w2 <= 0 or w_total < 2 * self.min_leaf:
+    def _test(self, state, rows, w1, w2, w_total):
+        """``(leaf, None)`` for the node with ``state``, ``rows`` and
+        class weights ``w1`` and ``w2`` of ``w_total``, or
+        ``(node, go_left)`` with its children still to grow over the
+        ``rows`` that ``go_left`` marks and the rest."""
+        if self._pure_or_small(w1, w2, w_total) or not self.slot_attr.size:
             return _Leaf(w1, w2), None
-        best = self._best_tests(order, codes, w1)
+        best = self._best(state, w1)
         if best is None:
             return _Leaf(w1, w2), None
 
@@ -353,25 +327,21 @@ class _Grower:
         nominal = bool(self.nominal_sizes[attr])
         col = self.values[rows, attr]
         go_left = col == thr if nominal else col <= thr
-        mid = lo + self._partition(lo, hi, buf, rows, go_left)
-        return _Node(attr, thr, nominal, None, None, w1, w2), mid
+        return _Node(attr, thr, nominal, None, None, w1, w2), go_left
 
-    def _best_tests(self, order, codes, w1):
-        """The best test of every attribute with a feasible one at the node
-        with blocks ``order`` and ``codes`` and class-1 weight ``w1``, as
-        arrays ``(attrs, gains, split_info, thresholds)`` in slot order,
-        gains and split info in unnormalized weight*bits units; None when
-        no attribute has one."""
-        if not self.slot_attr.size:
-            return None
-        if self.counts:
-            tests = self._counted_tests(order, codes, int(w1))
-        else:
-            tests = self._summed_tests(order, codes)
-        if tests is None:
-            return None
+    def _pure_or_small(self, w1, w2, w_total):
+        """Whether a node with class weights ``w1`` and ``w2`` of
+        ``w_total`` is a leaf before any test is weighed."""
+        return w1 <= 0 or w2 <= 0 or w_total < 2 * self.min_leaf
+
+    def _best_tests(self, tests, node):
+        """The best test of every attribute with a feasible one among
+        ``tests``, ``(slots, positions, gains, split_info)`` with slots
+        ascending, as arrays ``(attrs, gains, split_info, thresholds)`` in
+        slot order, gains and split info in unnormalized weight*bits units.
+        A numeric test's position goes to ``_bounds`` with ``node``; a
+        nominal one's is its value index."""
         a, pos, gains, split_info = tests
-
         # per slot (a run of candidates), the first within _EPS of the
         # slot's highest gain: the lowest threshold or value of the best
         new_slot = np.empty(a.size, dtype=bool)
@@ -384,46 +354,28 @@ class _Grower:
         hit = (gains >= top[a]).nonzero()[0]
         best = hit[a[hit].searchsorted(slots)]
 
-        # a numeric threshold is the midpoint of the values of the rows
-        # either side of the boundary, a nominal one the value's index
+        # a numeric threshold is the midpoint of the values either side of
+        # the boundary, a nominal one the value's index
         pos = pos[best]
-        attrs = self.slot_attr[slots]
         thresholds = pos.astype(float)
         n = slots.searchsorted(len(self.numeric))
         if n:
-            ids, cols = order.ravel(), attrs[:n]  # pos indexes the (m, k) lists
-            below = self.values[ids[pos[:n]], cols]
-            above = self.values[ids[pos[:n] + 1], cols]
+            below, above = self._bounds(node, slots[:n], pos[:n])
             # the lower value where the midpoint leaves [below, above), so
             # that both sides keep rows: two adjacent doubles can round up
             # to the upper one (C4.5 takes the lower value then) and values
             # past 8e307 overflow
             mid = (below + above) / 2.0
             thresholds[:n] = np.where((below <= mid) & (mid < above), mid, below)
-        return attrs, gains[best], split_info[best], thresholds
+        return self.slot_attr[slots], gains[best], split_info[best], thresholds
 
-    # -- unit weights: counts ------------------------------------------
-
-    def _counted_tests(self, order, codes, n1):
-        """Every feasible test of a node with unit weights and ``n1``
-        class-1 rows, as ``(slots, positions, gains, split_info)`` with
-        slots ascending; None when there is none."""
-        k = order.shape[1]
-        parts = []
-        if self.numeric:
-            parts.append(self._numeric_counts(order, codes, n1))
-        if self.nominal:
-            parts.append(self._nominal_counts(order[-1]))
-        a, lw, lw1, pos = (
-            parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-        )
-        if a.size == 0:
-            return None
-
-        # the x*log2(x) terms of both children's entropies; with counts
-        # each child's pair sums to its weight exactly, so the entropy and
-        # the split info share that term
-        terms = np.empty((6, a.size), dtype=np.intp)
+    def _count_gains(self, lw, lw1, k, n1):
+        """The gains and split info of tests with ``lw`` rows, ``lw1`` of
+        them class 1, on the left of a node of ``k`` rows, ``n1`` of them
+        class 1, every ``x log2 x`` term read from the table."""
+        # with counts each child's pair sums to its weight exactly, so the
+        # entropy and the split info share that term
+        terms = np.empty((6, lw.size), dtype=np.intp)
         terms[0], terms[1] = lw, lw1
         np.subtract(lw, lw1, out=terms[2])
         np.subtract(k, lw, out=terms[3])
@@ -440,7 +392,234 @@ class _Grower:
         gains = np.subtract(parent, children, out=children)
         split_info = x_w - xl_w
         split_info -= xr_w
-        return a, pos, gains, split_info
+        return gains, split_info
+
+
+class _HistogramGrower(_Grower):
+    """Grows one unpruned tree of a unit-weight fit from per-node class-count
+    histograms, as LightGBM does (Ke et al., 2017).
+
+    Slot ``s`` owns cells ``s*width`` to ``(s+1)*width - 1``, one per code
+    of its feature, a nominal feature's codes being its value indices.  A
+    node's state is its row ids in dataset order, its class-1 count and
+    its histogram: the rows per cell of class 0, then of class 1.  Each
+    row's ``keys`` are its bins in that histogram, so one ``bincount``
+    over a node's keys counts the node.  A split counts only its smaller
+    child; the larger is its parent minus that child.
+
+    The cells a node's rows occupy, in cell order, play the runs of equal
+    codes of a sorted list: a numeric boundary follows each, with the
+    running count of the slot's cells up to it on its left, and each
+    nominal one is a ``value vs rest`` test.  The values either side of a
+    boundary come from a per-fit table of each code's value.
+    """
+
+    def __init__(self, d: Dataset, target, params, width):
+        super().__init__(d, target, params, counts=True)
+        m, slots = len(self.numeric), self.slot_attr.size
+        self.width = width
+        self.n_cells = slots * width
+        keys = np.empty((d.n_instances, slots), dtype=np.intp)
+        keys[:, :m] = d.codes
+        keys[:, m:] = d.values[:, self.nominal]
+        keys += np.arange(slots) * width
+        keys += (self.first * self.n_cells)[:, None]
+        self.keys = keys
+        # cell s*width + c of numeric slot s holds the value of code c
+        table = np.zeros((m, width))
+        for s, values in enumerate(d.code_values):
+            table[s, : values.size] = values[:width]
+        self.code_values = table.ravel()
+
+    def _histogram(self, keys):
+        return np.bincount(keys.ravel(), minlength=2 * self.n_cells)
+
+    def _root(self):
+        rows = np.arange(self.keys.shape[0])
+        return rows, int(self.first.sum()), self._histogram(self.keys)
+
+    def _split(self, state):
+        """The node with ``state`` and its children's states, the larger
+        child first: the smaller grows first, so the stack holds at most
+        one histogram per halving of the rows."""
+        rows, n1, hist = state
+        k = rows.size
+        node, go_left = self._test(state, rows, float(n1), float(k - n1), float(k))
+        if go_left is None:
+            return node, ()
+        left, right = rows[go_left], rows[np.logical_not(go_left)]
+        n1_left = int(self.first.take(left).sum())
+        children = [("left", left, n1_left), ("right", right, n1 - n1_left)]
+        if left.size > right.size:
+            children.reverse()
+        (small_side, small, small_n1), (large_side, large, large_n1) = children
+        grow_small = not self._pure_or_small(small_n1, small.size - small_n1, small.size)
+        grow_large = not self._pure_or_small(large_n1, large.size - large_n1, large.size)
+        small_hist = large_hist = None
+        if grow_small or grow_large:
+            counted = self._histogram(self.keys[small])
+            if grow_small:
+                small_hist = counted
+            if grow_large:
+                large_hist = np.subtract(hist, counted, out=hist)
+        return node, (
+            (large_side, (large, large_n1, large_hist)),
+            (small_side, (small, small_n1, small_hist)),
+        )
+
+    def _best(self, state, w1):
+        rows, n1, hist = state
+        k, ml = rows.size, self.params.min_instances_per_leaf
+        one = hist[self.n_cells :]
+        total = np.add(hist[: self.n_cells], one)
+        cells = total.nonzero()[0]
+        slots, codes = np.divmod(cells, self.width)
+        lw, lw1 = total.take(cells), one.take(cells)
+        # running counts over the numeric slots' cells laid end to end, each
+        # earlier slot holding all k rows, n1 of them class 1
+        n = slots.searchsorted(len(self.numeric))
+        np.cumsum(lw[:n], out=lw[:n])
+        np.cumsum(lw1[:n], out=lw1[:n])
+        lw[:n] -= slots[:n] * k
+        lw1[:n] -= slots[:n] * n1
+        ok = lw >= ml
+        ok &= lw <= k - ml
+        at = ok.nonzero()[0]
+        if not at.size:
+            return None
+        gains, split_info = self._count_gains(lw.take(at), lw1.take(at), k, n1)
+        # a numeric boundary's position is its last cell's index in cells,
+        # a nominal test's its value index
+        pos = at.copy()
+        nominal = at.searchsorted(n)
+        pos[nominal:] = codes.take(at[nominal:])
+        return self._best_tests((slots.take(at), pos, gains, split_info), cells)
+
+    def _bounds(self, cells, slots, pos):
+        """The values of the occupied ``cells`` at ``pos`` and after it."""
+        below, above = cells.take(pos), cells.take(pos + 1)
+        return self.code_values.take(below), self.code_values.take(above)
+
+
+class _ListGrower(_Grower):
+    """Grows one unpruned tree over attribute lists sorted once per fit.
+
+    With ``m`` numeric attributes, the node over rows ``lo:hi`` (``k``
+    rows) owns the flat block ``(m+1)*lo:(m+1)*hi`` of an order buffer
+    and ``m*lo:m*hi`` of a codes buffer.  Read as ``(m+1, k)``, row ``a``
+    of the order block lists the node's row ids by ascending code of
+    numeric attribute ``numeric[a]`` (stable, so ties keep row order) and
+    its last row lists them in dataset order; read as ``(m, k)``, the
+    codes block holds the codes in that order.  Each list comes as two
+    buffers: a split stable-partitions the node's block, left rows first
+    in every row, into the same range of the other buffer, where the
+    children's blocks then lie, so a node at depth ``d`` reads buffer
+    ``d % 2`` and each node's block is its own stable sort.  A node's
+    state is ``(lo, hi, buffer)``.
+
+    Nominal tests are weighed by one ``bincount`` over every nominal
+    column, each column's codes offset to its own run of bins.
+
+    With ``counts``, for unit weights, each of these weights is a count,
+    exact in any order of summation, and is counted: a boundary's left
+    weight is its position in the list plus one, its class-1 weight is a
+    running count of class-1 rows over the runs of equal codes, and every
+    ``x log2 x`` term is read from a table over ``0..n``.  Otherwise the
+    weights are cumulative sums in list order, as a per-attribute search
+    would form them.  Either way the gains are the same bits.
+    """
+
+    def __init__(self, d: Dataset, target, params, counts):
+        super().__init__(d, target, params, counts)
+        n = d.n_instances
+        self.weights = d.weights
+        m = len(self.numeric)
+        codes = np.ascontiguousarray(d.codes.T)
+        order = np.empty((m + 1, n), dtype=np.intp)
+        order[:m] = np.argsort(codes, axis=1, kind="stable")
+        order[m] = np.arange(n)
+        sorted_codes = np.take_along_axis(codes, order[:m], axis=1)
+        self._order = (order.ravel(), np.empty_like(order.ravel()))
+        self._codes = (sorted_codes.ravel(), np.empty_like(sorted_codes.ravel()))
+        self._go_left = np.empty(n, dtype=bool)
+
+        if counts:
+            self._first_sorted = np.empty(m * n, dtype=np.intp)
+            self._starts = np.empty(m * n, dtype=bool)
+        else:
+            self.weighted_target = d.weights * target
+            self._cw = np.empty(m * n)
+            self._cw1 = np.empty(m * n)
+            self._boundary = np.empty(m * n, dtype=bool)
+
+        # nominal column i's codes, offset to its own run bin_ranges[i] of
+        # bins; each bin's slot and value index
+        sizes = [self.nominal_sizes[j] for j in self.nominal]
+        offsets = np.cumsum([0] + sizes)
+        self.bin_ranges = tuple(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        self.bins = d.values[:, self.nominal].T.astype(np.intp) + offsets[:-1, None]
+        self.bin_slot = np.repeat(np.arange(m, m + len(sizes)), sizes)
+        self.bin_value = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
+
+    def _block(self, lo, hi, buf):
+        """The ``(m+1, k)`` order block and ``(m, k)`` codes block of the
+        node ``lo:hi`` in buffer ``buf``."""
+        m, k = len(self.numeric), hi - lo
+        order = self._order[buf][(m + 1) * lo : (m + 1) * hi].reshape(m + 1, k)
+        return order, self._codes[buf][m * lo : m * hi].reshape(m, k)
+
+    def _root(self):
+        return 0, self._go_left.size, 0
+
+    def _split(self, state):
+        """The node ``lo:hi`` and its children's states, their blocks in
+        the other buffer."""
+        lo, hi, buf = state
+        rows = self._block(lo, hi, buf)[0][-1]
+        if self.counts:
+            w_total = float(hi - lo)
+            w1 = float(self.first.take(rows).sum())
+        else:
+            weights = self.weights[rows]
+            w1 = float(weights @ self.target[rows])
+            w_total = float(weights.sum())
+        node, go_left = self._test(state, rows, w1, w_total - w1, w_total)
+        if go_left is None:
+            return node, ()
+        mid = lo + self._partition(lo, hi, buf, rows, go_left)
+        return node, (("right", (mid, hi, 1 - buf)), ("left", (lo, mid, 1 - buf)))
+
+    def _best(self, state, w1):
+        order, codes = self._block(*state)
+        if self.counts:
+            tests = self._counted_tests(order, codes, int(w1))
+        else:
+            tests = self._summed_tests(order, codes)
+        return None if tests is None else self._best_tests(tests, order)
+
+    def _bounds(self, order, slots, pos):
+        """The values of the rows either side of the boundaries at ``pos``,
+        flat indices into the ``(m, k)`` lists of numeric ``slots``."""
+        ids, cols = order.ravel(), self.slot_attr[slots]
+        return self.values[ids[pos], cols], self.values[ids[pos + 1], cols]
+
+    # -- unit weights: counts ------------------------------------------
+
+    def _counted_tests(self, order, codes, n1):
+        """Every feasible test of a node with unit weights and ``n1``
+        class-1 rows, as ``(slots, positions, gains, split_info)`` with
+        slots ascending; None when there is none."""
+        parts = []
+        if self.numeric:
+            parts.append(self._numeric_counts(order, codes, n1))
+        if self.nominal:
+            parts.append(self._nominal_counts(order[-1]))
+        a, lw, lw1, pos = (
+            parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        )
+        if a.size == 0:
+            return None
+        return (a, pos, *self._count_gains(lw, lw1, order.shape[1], n1))
 
     def _numeric_counts(self, order, codes, n1):
         """The code boundaries of a node with unit weights that leave the
@@ -615,7 +794,7 @@ def _prune(root, cf: float):
 def fit_tree(d: Dataset, params: TreeParams = TreeParams()) -> TreeModel:
     """Fit on a dataset with exactly two classes present."""
     lo, hi, target = binary_class_info(d)
-    root = _Grower(d, target, params).grow()
+    root = _grower(d, target, params).grow()
     if params.prune:
         root = _prune(root, params.pruning_confidence)
     return TreeModel(root, d.attributes, d.class_attribute, (lo, hi))

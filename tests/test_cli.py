@@ -256,6 +256,7 @@ def test_cli_value_below_one_exit_two(
         ("method = name=m tol=nan", "tol must be > 0 and finite", False),
         ("method = name=m learner=logistic max_iter=0", "max_iter must be >= 1", False),
         ("method = name=m learner=tree min_leaf=0", "min_leaf must be >= 1", False),
+        ("method = name=m learner=tree min_leaf=2.5", "bad value for min_leaf", False),
         ("method = name=m learner=tree cf=0", "cf must be in (0, 0.5]", False),
         ("method = name=m learner=tree cf=0.9", "cf must be in (0, 0.5]", False),
         ("method = name=m learner=logistic min_leaf=7 cf=0.4",
@@ -273,7 +274,7 @@ def test_cli_value_below_one_exit_two(
     ],
     ids=[
         "jobs", "subsample_cap", "reference", "duplicate-method",
-        "ridge", "tol", "tol-nan", "max_iter", "min_leaf", "cf-zero", "cf-high",
+        "ridge", "tol", "tol-nan", "max_iter", "min_leaf", "min_leaf-float", "cf-zero", "cf-high",
         "tree-option-on-logistic", "ridge-on-tree", "ridge-inf", "tol-inf", "cap", "size",
         "seed", "k-one", "k-zero", "repeats", "duplicate-seed",
     ],

@@ -511,8 +511,11 @@ def test_codes_rank_distinct_values():
     d = parse_arff(SMALL_ARFF)
     assert d.codes.dtype == np.uint16
     assert d.codes.tolist() == [[1, 2], [2, 0], [0, 1]]
+    assert [v.tolist() for v in d.code_values] == [sorted(d.values[:, j].tolist()) for j in (0, 1)]
     with pytest.raises(ValueError):
         d.codes[0, 0] = 5
+    with pytest.raises(ValueError):
+        d.code_values[0][0] = 5.0
 
 
 @pytest.mark.parametrize("distinct, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.uint32)])
@@ -610,6 +613,10 @@ def test_derived_codes_order_and_tie_as_values(chain):
                 np.sign(codes[:, None] - codes[None, :]),
                 np.sign(values[:, None] - values[None, :]),
             )
+            # each code stands for its value, -0.0 and 0.0 for either
+            assert np.array_equal(d.code_values[c][codes], values)
+        assert d.code_values is root.code_values
+        assert not any(v.flags.writeable for v in d.code_values)
 
 
 # -- stratified folds ---------------------------------------------------

@@ -205,6 +205,9 @@ def test_probabilities_complement_exactly():
         ({"gradient_tolerance": 0.0}, "gradient_tolerance"),
         ({"gradient_tolerance": np.inf}, "gradient_tolerance"),
         ({"gradient_tolerance": np.nan}, "gradient_tolerance"),
+        ({"max_iterations": 2.5}, "max_iterations"),
+        ({"max_iterations": 3.0}, "max_iterations"),
+        ({"max_iterations": True}, "max_iterations"),
     ],
 )
 def test_params_reject_out_of_range_and_non_finite(kwargs, field):

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from conftest import gaussian_dataset, load_uci, simple_dataset
 from nested_dichotomies._special import ndtri
 from nested_dichotomies.data import AttributeSpec, Dataset
-from nested_dichotomies.errors import SingleClass
+from nested_dichotomies.errors import InvalidParam, SingleClass
 from nested_dichotomies.learners import TreeParams, fit_tree
 from nested_dichotomies.learners import tree as tree_module
 from nested_dichotomies.learners.base import binary_class_info
 from nested_dichotomies.learners.tree import (
     _EPS,
     TreeModel,
-    _Grower,
+    _cell_width,
+    _HistogramGrower,
     _Leaf,
+    _ListGrower,
     _Node,
     add_errs,
 )
@@ -55,6 +57,15 @@ def test_constant_attributes_single_leaf():
     assert m.predict_prob(np.array([7.0, 0.0])) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("weights", [None, [1.0, 2.0, 0.5]], ids=["unit", "weighted"])
+def test_no_features_single_leaf(weights):
+    attrs = [AttributeSpec("class", ("a", "b"))]
+    d = Dataset(attrs, np.array([[0.0], [1.0], [1.0]]), 0, weights=weights)
+    w = d.weights
+    want = ["tree", "classes 0 1", f"leaf {float(w[0])!r} {float(w[1] + w[2])!r}"]
+    assert fit_tree(d, TreeParams(min_instances_per_leaf=1)).to_lines() == want
+
+
 def test_leaf_frequency_probabilities():
     leaf = _Leaf(3.0, 1.0)
     assert leaf.p_first == pytest.approx(0.75)
@@ -78,6 +89,20 @@ def test_min_leaf_respected():
         check(node.right)
 
     check(m.root)
+    # any integer type operator.index takes will do
+    assert fit_tree(d, TreeParams(np.int64(3), prune=False)).to_lines() == m.to_lines()
+
+
+@pytest.mark.parametrize(
+    "value, requirement",
+    [(2.5, "must be an integer"), (3.0, "must be an integer"), (True, "must be an integer"),
+     (0, "must be >= 1")],
+)
+def test_min_leaf_must_be_a_positive_integer(value, requirement):
+    # a float or bool used to pass here and fail inside the fit
+    with pytest.raises(InvalidParam) as err:
+        TreeParams(min_instances_per_leaf=value)
+    assert (err.value.field, err.value.requirement) == ("min_instances_per_leaf", requirement)
 
 
 def test_nominal_value_vs_rest_split():
@@ -542,18 +567,24 @@ def test_presorted_search_matches_per_attribute_reference_unit_weights(problem):
     _assert_fits_reference(*problem)
 
 
+def _root_tests(grower, d, target):
+    """The root's best test per attribute, as ``(attr, gain, split info,
+    threshold)`` tuples."""
+    best = grower._best(grower._root(), float(d.weights @ target))
+    return [] if best is None else list(zip(best[0].tolist(), *best[1:]))
+
+
+def _bits(cands):
+    return [(attr, *(float(x).hex() for x in c)) for attr, *c in cands]
+
+
 def _assert_root_candidates_match(d, params):
     # gains and split info, not only the chosen split: a last-bit change in
     # the sums would rarely show in the model text
     _, _, target = binary_class_info(d)
-    grower = _Grower(d, target, params)
+    grower = tree_module._grower(d, target, params)
     assert grower.counts == bool((d.weights == 1.0).all())
-    order, codes = grower._block(0, d.n_instances, 0)
-    best = grower._best_tests(order, codes, float(d.weights @ target))
-    got = []
-    if best is not None:
-        attrs, gains, split_info, thresholds = best
-        got = list(zip(attrs.tolist(), gains, split_info, thresholds))
+    got = _root_tests(grower, d, target)
     min_leaf = float(params.min_instances_per_leaf)
     want = []
     for attr in grower.numeric:
@@ -565,11 +596,7 @@ def _assert_root_candidates_match(d, params):
         cand = _ref_best_nominal(d.values[:, attr], target, d.weights, n_values, min_leaf)
         if cand is not None:
             want.append((attr, *cand))
-
-    def bits(cands):
-        return [(attr, *(float(x).hex() for x in c)) for attr, *c in cands]
-
-    assert bits(got) == bits(want)
+    assert _bits(got) == _bits(want)
     assert all(type(c[3]) is np.float64 for c in got)  # model text prints the type
 
 
@@ -598,15 +625,39 @@ def _segment_pair():
     return load_uci("segment").restrict_to_classes((2, 4))  # foliage, window
 
 
+def _optdigits_node():
+    # an RPND node of optdigits: six of its ten classes, split three and three
+    return load_uci("optdigits").restrict_to_classes((0, 1, 3, 5, 8, 9)).relabel_binary((0, 3, 8))
+
+
+def _zoo_pair():
+    # nominal-heavy: the animal's name (100 values), fifteen booleans, and
+    # one numeric attribute
+    return load_uci("zoo").relabel_binary((0, 3, 5))
+
+
+def _path(grower):
+    if isinstance(grower, _HistogramGrower):
+        return "histogram"
+    return "lists" if grower.counts else "sums"
+
+
+def _chosen_path(d, params=TreeParams()):
+    return _path(tree_module._grower(d, binary_class_info(d)[2], params))
+
+
 def _root_tests_and_model(d, params):
     """Which path the fit takes, the root's best tests as bits, and the
-    fitted model's text."""
+    fitted model's text, node count and depth."""
     _, _, target = binary_class_info(d)
-    grower = _Grower(d, target, params)
-    order, codes = grower._block(0, d.n_instances, 0)
-    attrs, *values = grower._best_tests(order, codes, float(d.weights @ target))
-    bits = [attrs.tolist()] + [[float(x).hex() for x in v] for v in values]
-    return grower.counts, bits, fit_tree(d, params).to_lines()
+    grower = tree_module._grower(d, target, params)
+    model = fit_tree(d, params)
+    return (
+        _path(grower),
+        _bits(_root_tests(grower, d, target)),
+        model.to_lines(),
+        (model.n_nodes(), model.depth()),
+    )
 
 
 _REAL_PARAMS = (TreeParams(), TreeParams(min_instances_per_leaf=1, use_gain_ratio=False))
@@ -624,20 +675,99 @@ def test_counting_matches_summing_on_real_node_sizes(make, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(tree_module, "_unit_weights", lambda weights: False)
             summed = _root_tests_and_model(d, params)
-        assert counted[0] and not summed[0]
-        assert counted[1] == summed[1]
-        assert counted[2] == summed[2]
+        assert counted[0] == ("histogram" if d.n_instances == 9890 else "lists")
+        assert summed[0] == "sums"
+        assert counted[1:] == summed[1:]
         assert len(counted[2]) > 20
+
+
+def _force(path):
+    """A stand-in for ``tree._grower`` that takes one counting path."""
+    def grower(d, target, params):
+        if path == "histogram":
+            return _HistogramGrower(d, target, params, _cell_width(d))
+        return _ListGrower(d, target, params, counts=True)
+    return grower
+
+
+def _assert_count_paths_agree(d, params):
+    results = {}
+    for path in ("histogram", "lists"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_module, "_grower", _force(path))
+            results[path] = _root_tests_and_model(d, params)
+        assert results[path][0] == path
+    assert results["histogram"][1:] == results["lists"][1:]
+    return results["histogram"][2]
+
+
+@pytest.mark.parametrize(
+    "make", [_pendigits_root, _optdigits_node, _zoo_pair], ids=["pendigits", "optdigits", "zoo"]
+)
+def test_histogram_and_list_counts_grow_the_same_trees(make):
+    d = make()
+    assert (d.weights == 1.0).all()
+    for params in (*_REAL_PARAMS, TreeParams(min_instances_per_leaf=5, prune=False)):
+        assert len(_assert_count_paths_agree(d, params)) > 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_problems(unit=True))
+def test_histogram_and_list_counts_agree_on_generated_problems(problem):
+    _assert_count_paths_agree(*problem)
+
+
+_BELOW, _ABOVE = [0] * 5 + [1] * 3, [0] * 2 + [1] * 6  # zero in the left or right class
+
+
+@pytest.mark.parametrize(
+    "xs, labels, threshold",
+    [
+        ([-1.0, -0.0, 0.0, -0.0, 0.0, 0.5, 0.5, 1.0], _BELOW, "np.float64(0.25)"),
+        ([-1.0, -1.0, -0.0, 0.0, -0.0, 0.0, 0.5, 1.0], _ABOVE, "np.float64(-0.5)"),
+        # the midpoint of zero and 5e-324 rounds to zero
+        ([-1.0, -0.0, 0.0, -0.0, 0.0, 5e-324, 5e-324, 1.0], _BELOW, "np.float64(0.0)"),
+        # that of -5e-324 and zero rounds to -0.0, which leaves no row right
+        ([-1.0, -5e-324, -0.0, 0.0, -0.0, 0.0, 0.5, 1.0], _ABOVE, "np.float64(-5e-324)"),
+    ],
+    ids=["zero-left", "zero-right", "rounds-to-zero", "rounds-to-minus-zero"],
+)
+def test_signed_zeros_share_a_code_on_both_count_paths(xs, labels, threshold):
+    # -0.0 and 0.0 share one code, so the histogram's code-to-value table
+    # holds one of them where the lists read the rows beside the boundary;
+    # the thresholds next to zero are the same bits in every row order
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        perm = rng.permutation(len(xs))
+        d = simple_dataset(np.array(xs)[perm], np.array(labels)[perm])
+        zeros = d.codes[d.values[:, 0] == 0.0, 0]
+        assert zeros.size == 4 and (zeros == zeros[0]).all()
+        lines = _assert_count_paths_agree(d, TreeParams(min_instances_per_leaf=1, prune=False))
+        assert lines[2] == f"split x <= {threshold}"
 
 
 @pytest.mark.parametrize("odd", [2.0, 0.5])
 def test_near_unit_weights_take_the_summing_path(odd):
-    pair = _segment_pair()
+    # the path follows the fit's data: histograms when it has no more cells
+    # (features x the widest code range) than rows, as a pendigits training
+    # set (16 x 101 cells, 9,890 rows); the lists when it has more, as the
+    # segment pair (19 x 1,899 cells, 660 rows); sums for weights other than 1
+    pendigits, pair = _pendigits_root(), _segment_pair()
+    assert _chosen_path(pendigits) == "histogram" and _cell_width(pendigits) == 101
+    assert _chosen_path(pair) == "lists"
+    # a subset keeps its parent's codes, so its cells count their range
+    x = np.arange(10.0)
+    ten = simple_dataset(x, x % 2)
+    assert _chosen_path(ten) == "histogram"
+    assert _chosen_path(ten.subset(np.arange(1, 10))) == "lists"
+    for d in (pendigits, pair, ten):
+        weights = np.ones(d.n_instances)
+        weights[7] = odd
+        assert _chosen_path(d.with_weights(weights)) == "sums"
+
     weights = np.ones(pair.n_instances)
     weights[17] = odd
     d = pair.with_weights(weights)
-    _, _, target = binary_class_info(d)
-    assert not _Grower(d, target, TreeParams()).counts
     for params in _REAL_PARAMS:
         _assert_root_candidates_match(d, params)
         _assert_fits_reference(d, params)
