@@ -37,12 +37,9 @@ from .ensemble import (
 from .evaluation import CVResult, TTestOutcome, corrected_t, format_results_table, run_cv
 from .learners import (
     BinaryModel,
-    CentroidModel,
     LogisticParams,
     TreeParams,
-    centroid_confusion,
     fit_binary_model,
-    fit_centroids,
     fit_logistic,
     fit_tree,
 )

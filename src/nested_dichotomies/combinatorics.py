@@ -82,10 +82,11 @@ class SpaceCount:
             raise ValueError("count ordering violated")
 
 
-def space_table(max_c: int, min_c: int = 2) -> list[SpaceCount]:
+def space_table(max_c: int) -> list[SpaceCount]:
+    """One row per class count from 2 to ``max_c``."""
     return [
         SpaceCount(c, count_full(c), count_balanced(c), estimate_random_pair_count(c))
-        for c in range(min_c, max_c + 1)
+        for c in range(2, max_c + 1)
     ]
 
 

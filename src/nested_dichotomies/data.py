@@ -232,13 +232,14 @@ class Dataset:
         mask = self._class_table(class_ids)[self.class_indices()]
         return self.subset(np.flatnonzero(mask))
 
-    def relabel_binary(self, side_one, names: tuple[str, str] = ("s1", "s2")) -> "Dataset":
-        """Replace the class attribute with a two-valued one: instances whose
-        class is in ``side_one`` get label 0, the rest label 1."""
+    def relabel_binary(self, side_one) -> "Dataset":
+        """Replace the class attribute with a two-valued one, ``s1`` and
+        ``s2``: instances whose class is in ``side_one`` get label 0
+        (``s1``), the rest label 1."""
         labels = np.where(self._class_table(side_one), 0.0, 1.0)
         attrs = list(self.attributes)
         attrs[self.class_attribute] = AttributeSpec(
-            attrs[self.class_attribute].name, names
+            attrs[self.class_attribute].name, ("s1", "s2")
         )
         values = self.values.copy()
         values[:, self.class_attribute] = labels[self.class_indices()]

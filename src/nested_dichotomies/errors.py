@@ -53,7 +53,8 @@ class DidNotConverge(NDError):
 
 
 class EncodingMismatch(NDError):
-    """Instance shape does not match the model's fitted encoding."""
+    """Instance values do not fit the model's attributes: the wrong count,
+    a non-finite feature value, or an undeclared nominal value."""
 
 
 class EmptyClass(NDError):

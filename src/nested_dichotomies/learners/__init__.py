@@ -1,10 +1,9 @@
-"""Binary base learners for dichotomy nodes, plus the centroid diagnostic."""
+"""Binary base learners for dichotomy nodes."""
 
 from __future__ import annotations
 
 from ..data import Dataset
 from .base import BinaryModel, ConstantModel, FeatureEncoder
-from .centroid import CentroidModel, centroid_confusion, fit_centroids
 from .logistic import LogisticParams, LogisticModel, fit_logistic
 from .tree import TreeParams, TreeModel, fit_tree
 
@@ -22,7 +21,6 @@ def fit_binary_model(d: Dataset, params: LearnerParams) -> BinaryModel:
 
 __all__ = [
     "BinaryModel",
-    "CentroidModel",
     "ConstantModel",
     "FeatureEncoder",
     "LearnerParams",
@@ -30,9 +28,7 @@ __all__ = [
     "LogisticParams",
     "TreeModel",
     "TreeParams",
-    "centroid_confusion",
     "fit_binary_model",
-    "fit_centroids",
     "fit_logistic",
     "fit_tree",
 ]

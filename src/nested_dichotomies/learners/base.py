@@ -25,6 +25,53 @@ def check_count(field: str, value, minimum: int) -> None:
         raise InvalidParam(field, f"must be >= {minimum}")
 
 
+def _check_width(rows: np.ndarray, n_attributes: int) -> None:
+    """Raise :class:`EncodingMismatch` unless each row of the 2-D ``rows``
+    holds ``n_attributes`` values."""
+    if rows.shape[1] != n_attributes:
+        raise EncodingMismatch(f"expected {n_attributes} attribute values, got {rows.shape[1]}")
+
+
+class RowCheck:
+    """The check of the rows that a learner encodes or predicts: each row
+    holds one value per attribute, every feature value is finite, and each
+    nominal feature holds one of its declared value indices.  The class
+    column is not checked.  Calling it raises :class:`EncodingMismatch`, or
+    returns the nominal features' value indices, one column per feature in
+    attribute order."""
+
+    __slots__ = ("n_attributes", "class_attribute", "_nominal", "_counts")
+
+    def __init__(self, attributes, class_attribute: int):
+        self.n_attributes = len(attributes)
+        self.class_attribute = class_attribute
+        nominal = [
+            j for j, spec in enumerate(attributes) if spec.is_nominal and j != class_attribute
+        ]
+        self._nominal = np.array(nominal, dtype=np.intp)
+        self._counts = np.array([len(attributes[j].values) for j in nominal], dtype=np.float64)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        _check_width(rows, self.n_attributes)
+        if not np.isfinite(rows).all():
+            bad = ~np.isfinite(rows).all(axis=0)
+            bad[self.class_attribute] = False
+            if bad.any():
+                raise EncodingMismatch(f"non-finite value in column {int(np.argmax(bad))}")
+        if not self._nominal.size:
+            return np.empty((rows.shape[0], 0), dtype=np.intp)
+        v = rows[:, self._nominal]
+        # in range first, so that the cast cannot overflow
+        ok = (v >= 0) & (v < self._counts)
+        if ok.all():
+            idx = v.astype(np.intp)
+            ok = idx == v
+            if ok.all():
+                return idx
+        column = int(self._nominal[np.argmin(ok.all(axis=0))])
+        raise EncodingMismatch(f"undeclared nominal value in column {column}")
+
+
 class FeatureEncoder:
     """Maps raw attribute rows to a numeric feature matrix.
 
@@ -34,19 +81,20 @@ class FeatureEncoder:
     any subset of the data.
     """
 
-    __slots__ = ("n_attributes", "feature_names", "_numeric", "_nominal", "n_features")
+    __slots__ = ("n_attributes", "feature_names", "_check", "_numeric", "_offsets", "n_features")
 
     def __init__(self, attributes, class_attribute: int):
         self.n_attributes = len(attributes)
+        self._check = RowCheck(attributes, class_attribute)
         numeric = []  # [first source column, end, first output column]
-        nominal = []  # (source column, width, first output column)
+        offsets = []  # each nominal feature's first output column
         names = []
         offset = 0
         for j, spec in enumerate(attributes):
             if j == class_attribute:
                 continue
             if spec.is_nominal:
-                nominal.append((j, len(spec.values), offset))
+                offsets.append(offset)
                 names.extend(f"{spec.name}={v}" for v in spec.values)
                 offset += len(spec.values)
             else:
@@ -58,27 +106,20 @@ class FeatureEncoder:
                 offset += 1
         # each run of consecutive numeric columns is copied as one block
         self._numeric = tuple(map(tuple, numeric))
-        self._nominal = tuple(nominal)
+        self._offsets = np.array(offsets, dtype=np.intp)
         self.n_features = offset
         self.feature_names = tuple(names)
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        if rows.shape[1] != self.n_attributes:
-            raise EncodingMismatch(
-                f"expected {self.n_attributes} attribute values, got {rows.shape[1]}"
-            )
+        idx = self._check(rows)
         n = rows.shape[0]
         out = np.zeros((n, self.n_features))
         for src, end, offset in self._numeric:
             out[:, offset : offset + end - src] = rows[:, src:end]
-        for src, width, offset in self._nominal:
-            idx = rows[:, src].astype(np.intp)
-            if idx.min(initial=0) < 0 or idx.max(initial=0) >= width:
-                raise EncodingMismatch(
-                    f"nominal index out of range in column {src}"
-                )
-            out[np.arange(n), offset + idx] = 1.0
+        if self._offsets.size:
+            # every nominal feature's indicator in one assignment
+            out[np.arange(n)[:, None], self._offsets + idx] = 1.0
         return out
 
 
@@ -106,15 +147,7 @@ class BinaryModel:
         raise NotImplementedError
 
     def predict_prob(self, x) -> float:
-        rows = _as_rows(x)
-        self._check_width(rows)
-        return float(self.predict_prob_batch(rows)[0])
-
-    def _check_width(self, rows: np.ndarray):
-        if rows.shape[1] != self.n_attributes:
-            raise EncodingMismatch(
-                f"expected {self.n_attributes} attribute values, got {rows.shape[1]}"
-            )
+        return float(self.predict_prob_batch(_as_rows(x))[0])
 
     def to_lines(self) -> list[str]:
         raise NotImplementedError
@@ -135,8 +168,9 @@ class ConstantModel(BinaryModel):
         self.class_pair = tuple(class_pair)
 
     def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
-        self._check_width(np.atleast_2d(rows))
-        return np.full(np.atleast_2d(rows).shape[0], self.p_first)
+        rows = np.atleast_2d(rows)
+        _check_width(rows, self.n_attributes)
+        return np.full(rows.shape[0], self.p_first)
 
     def to_lines(self) -> list[str]:
         return [f"constant p_first={self.p_first!r}"]

@@ -241,60 +241,66 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
     iterations = 0
     converged = False
     stationary_streak = 0
-    for iterations in range(1, params.max_iterations + 1):
-        _sigmoid(z, out=p)
-        _grad_at(p, beta, X, target, m, ridge_diag, out=g, work=resid)
-        if np.abs(g).max() <= params.gradient_tolerance:
-            converged = True
-            iterations -= 1
-            break
-        # m * max(p * (1 - p), 1e-12)
-        np.subtract(1.0, p, out=curv)
-        curv *= p
-        np.maximum(curv, 1e-12, out=curv)
-        curv *= m
-        np.multiply(X, curv[:, None], out=Xc)
-        hess[0, 0] = curv.sum()
-        _column_sums(Xc, out=hess[0, 1:])
-        hess[1:, 0] = hess[0, 1:]
-        np.matmul(X.T, Xc, out=hess[1:, 1:])
-        hess_diag += ridge_diag
-        try:
-            step = _solve(hess, -g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -g, rcond=None)[0]
-
-        # alpha = 1 first: 1.0 * step is step, bit for bit
-        cand = beta + step
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            _linear(cand, X, out=cand_z)
-            cand_obj = _nll_at(cand_z, cand, complement, m, ridge_diag, loss_work)
-            if cand_obj < obj:
+    # A step from a singular Hessian (no ridge on the intercept) can send a
+    # candidate's coefficients past 1e154, where ``beta * beta`` overflows
+    # and the objective turns inf or NaN.  The line search rejects such a
+    # candidate (``NaN < obj`` is false), so only the warning is silenced,
+    # once per fit rather than per objective call.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, params.max_iterations + 1):
+            _sigmoid(z, out=p)
+            _grad_at(p, beta, X, target, m, ridge_diag, out=g, work=resid)
+            if np.abs(g).max() <= params.gradient_tolerance:
+                converged = True
+                iterations -= 1
                 break
-            alpha *= 0.5
-            cand = beta + alpha * step
+            # m * max(p * (1 - p), 1e-12)
+            np.subtract(1.0, p, out=curv)
+            curv *= p
+            np.maximum(curv, 1e-12, out=curv)
+            curv *= m
+            np.multiply(X, curv[:, None], out=Xc)
+            hess[0, 0] = curv.sum()
+            _column_sums(Xc, out=hess[0, 1:])
+            hess[1:, 0] = hess[0, 1:]
+            np.matmul(X.T, Xc, out=hess[1:, 1:])
+            hess_diag += ridge_diag
+            try:
+                step = _solve(hess, -g)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, -g, rcond=None)[0]
+
+            # alpha = 1 first: 1.0 * step is step, bit for bit
+            cand = beta + step
+            alpha = 1.0
+            for _ in range(_MAX_HALVINGS):
+                _linear(cand, X, out=cand_z)
+                cand_obj = _nll_at(cand_z, cand, complement, m, ridge_diag, loss_work)
+                if cand_obj < obj:
+                    break
+                alpha *= 0.5
+                cand = beta + alpha * step
+            else:
+                # No strictly decreasing step of any size exists: the iterate
+                # is the double-precision optimum, even if the (noise-level)
+                # gradient sits above an unreachably tight tolerance.
+                converged = True
+                break
+            if obj - cand_obj <= 1e-13 * (1.0 + abs(cand_obj)):
+                stationary_streak += 1
+            else:
+                stationary_streak = 0
+            beta, obj = cand, cand_obj
+            z, cand_z = cand_z, z
+            if stationary_streak >= 3:
+                # three consecutive float-resolution decreases: numerically
+                # stationary (quasi-separable data crawls here forever)
+                converged = True
+                break
         else:
-            # No strictly decreasing step of any size exists: the iterate
-            # is the double-precision optimum, even if the (noise-level)
-            # gradient sits above an unreachably tight tolerance.
-            converged = True
-            break
-        if obj - cand_obj <= 1e-13 * (1.0 + abs(cand_obj)):
-            stationary_streak += 1
-        else:
-            stationary_streak = 0
-        beta, obj = cand, cand_obj
-        z, cand_z = cand_z, z
-        if stationary_streak >= 3:
-            # three consecutive float-resolution decreases: numerically
-            # stationary (quasi-separable data crawls here forever)
-            converged = True
-            break
-    else:
-        _sigmoid(z, out=p)
-        _grad_at(p, beta, X, target, m, ridge_diag, out=g, work=resid)
-        converged = np.abs(g).max() <= params.gradient_tolerance
+            _sigmoid(z, out=p)
+            _grad_at(p, beta, X, target, m, ridge_diag, out=g, work=resid)
+            converged = np.abs(g).max() <= params.gradient_tolerance
 
     weights = beta[1:] / scale
     intercept = beta[0] - float(weights @ mu)

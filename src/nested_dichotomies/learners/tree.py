@@ -24,8 +24,9 @@ pass, each attribute keeps its best test, and the attributes compete in
 one array.
 
 The weights of the tests are formed in one of three ways, chosen per fit
-from its data, with no option; all three give the same gains, bit for
-bit, and so the same trees:
+from its data, with no option.  On unit weights all three give the same
+gains, bit for bit, and so the same trees; other weights take only the
+third:
 
 * Class-count histograms, for unit weights (as parsing, folds and
   resampling produce) when the histogram has no more cells than the fit
@@ -71,7 +72,7 @@ import numpy as np
 from .._special import ndtri
 from ..data import Dataset
 from ..errors import InvalidParam
-from .base import BinaryModel, binary_class_info, check_count
+from .base import BinaryModel, RowCheck, binary_class_info, check_count
 
 _EPS = 1e-12
 
@@ -155,10 +156,11 @@ class TreeModel(BinaryModel):
         self.class_attribute = class_attribute
         self.class_pair = tuple(class_pair)
         self.n_attributes = len(attributes)
+        self._check = RowCheck(attributes, class_attribute)
 
     def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        self._check_width(rows)
+        self._check(rows)
         out = np.empty(rows.shape[0])
         stack = [(self.root, np.arange(rows.shape[0]))]
         while stack:

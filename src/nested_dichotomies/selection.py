@@ -24,8 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyClass, InvalidParam
-from .learners import LearnerParams, fit_binary_model
-from .learners.centroid import class_means
+from .learners import FeatureEncoder, LearnerParams, fit_binary_model
 from .seeds import rng_from
 
 
@@ -84,6 +83,21 @@ def select_class_balanced(class_ids, rng: np.random.Generator) -> SplitDecision:
     return SplitDecision(perm[:cut], perm[cut:])
 
 
+def _class_means(d: Dataset, class_ids) -> dict[int, np.ndarray]:
+    """The weighted mean encoded row of each class in ``class_ids`` that
+    has instances in ``d``; classes without instances are left out."""
+    X = FeatureEncoder(d.attributes, d.class_attribute).encode(d.values)
+    y = d.class_indices()
+    w = d.weights
+    means = {}
+    for c in class_ids:
+        mask = y == c
+        total = w[mask].sum()
+        if total > 0:
+            means[c] = (w[mask] @ X[mask]) / total
+    return means
+
+
 def select_centroid(class_ids, d: Dataset) -> SplitDecision:
     """Deterministic split seeded by the furthest pair of class centroids.
 
@@ -97,7 +111,7 @@ def select_centroid(class_ids, d: Dataset) -> SplitDecision:
         raise ValueError("need at least 2 classes to split")
     if len(ids) == 2:
         return SplitDecision([ids[0]], [ids[1]])
-    _, centroids = class_means(d, ids)
+    centroids = _class_means(d, ids)
     present = sorted(centroids)
     if len(present) < 2:
         raise EmptyClass(

@@ -1,63 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_dataset
 from nested_dichotomies.data import AttributeSpec, Dataset
-from nested_dichotomies.errors import EmptyClass
-from nested_dichotomies.learners import centroid_confusion, fit_centroids
-
-
-def test_tight_clusters_diagonal_confusion():
-    d = gaussian_dataset(np.array([[0.0, 0.0], [10.0, 10.0]]), per_class=40, spread=0.3, seed=1)
-    m = fit_centroids(d)
-    confusion = centroid_confusion(m, d)
-    assert confusion[0, 0] == 40
-    assert confusion[1, 1] == 40
-    assert confusion.sum() == 80
-
-
-def test_single_instance_per_class_identity():
-    attrs = [AttributeSpec("x"), AttributeSpec("y"), AttributeSpec("c", ("a", "b", "c"))]
-    values = np.array([[0, 0, 0], [5, 0, 1], [0, 5, 2]], dtype=float)
-    d = Dataset(attrs, values, 2)
-    m = fit_centroids(d)
-    confusion = centroid_confusion(m, d)
-    np.testing.assert_array_equal(confusion, np.eye(3))
-
-
-def test_equidistant_point_goes_to_lower_class():
-    attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b"))]
-    values = np.array([[0.0, 0.0], [2.0, 1.0]])
-    d = Dataset(attrs, values, 1)
-    m = fit_centroids(d)
-    assert m.predict(np.array([1.0, 0.0])) == 0
-
-
-def test_empty_class_raises():
-    attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b", "c"))]
-    values = np.array([[0.0, 0.0], [1.0, 1.0]])  # class "c" absent
-    d = Dataset(attrs, values, 1)
-    with pytest.raises(EmptyClass):
-        fit_centroids(d)
+from nested_dichotomies.selection import _class_means
 
 
 def test_weighted_centroid():
     attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b"))]
     values = np.array([[0.0, 0.0], [3.0, 0.0], [10.0, 1.0]])
     d = Dataset(attrs, values, 1, weights=np.array([1.0, 2.0, 1.0]))
-    m = fit_centroids(d)
-    assert m.centroids[0, 0] == pytest.approx(2.0)  # (0*1 + 3*2) / 3
-
-
-def test_confusion_shape_and_orientation():
-    # class 1 instances sit on class 0's centroid: row 1 mass lands in column 0
-    attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b", "c"))]
-    values = np.array(
-        [[0.0, 0.0], [0.1, 0.0], [0.05, 1.0], [5.0, 2.0], [5.2, 2.0]],
-    )
-    d = Dataset(attrs, values, 1)
-    m = fit_centroids(d)
-    confusion = centroid_confusion(m, d)
-    assert confusion.shape == (3, 3)
-    assert confusion[1, 0] == 1
-    assert confusion[1, 1] == 0
+    means = _class_means(d, [0, 1])
+    assert means[0][0] == pytest.approx(2.0)  # (0*1 + 3*2) / 3
+    assert means[1][0] == pytest.approx(10.0)

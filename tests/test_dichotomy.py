@@ -1,12 +1,15 @@
+import warnings
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_dataset, small_datasets
+from conftest import gaussian_dataset, load_uci, small_datasets
 from nested_dichotomies.data import AttributeSpec, Dataset, bootstrap_sample
 from nested_dichotomies.dichotomy import NDNode, NestedDichotomy, build_nd
-from nested_dichotomies.errors import NDError
+from nested_dichotomies.errors import EncodingMismatch, NDError
 from nested_dichotomies.learners import LogisticParams, TreeParams
 from nested_dichotomies.selection import STRATEGIES, SubsetSelector
 
@@ -368,3 +371,38 @@ def test_zoo_dot_export_is_unchanged(zoo):
     # written by the recursive walk that the preorder walk replaced
     nd = build_nd(zoo, SubsetSelector("random_pair"), LogisticParams(), 3)
     assert nd.to_dot() == _ZOO_DOT
+
+
+@lru_cache(maxsize=None)
+def _uci_nd(name: str, learner: str) -> NestedDichotomy:
+    params = LogisticParams(max_iterations=1000) if learner == "logistic" else TreeParams()
+    return build_nd(load_uci(name), SubsetSelector("random_pair"), params, seed=5)
+
+
+@pytest.mark.parametrize("learner", ["logistic", "tree"])
+@pytest.mark.parametrize(
+    "name, column, bad",
+    [
+        ("glass", 0, np.nan),  # the first numeric column
+        ("glass", 0, -np.inf),
+        ("zoo", 1, 99.0),  # "hair", a two-valued nominal column
+        ("zoo", 1, 1.5),
+        ("zoo", 1, -1.0),
+        ("zoo", 1, np.nan),
+        ("zoo", 0, 100.0),  # "animal", whose 100 values have indices 0-99
+    ],
+)
+def test_prediction_rejects_non_finite_and_undeclared_values(name, column, bad, learner):
+    d = load_uci(name)
+    nd = _uci_nd(name, learner)
+    row = d.values[0].copy()
+    want = nd.predict_distribution(row)
+    row[d.class_attribute] = np.nan  # the class column is not checked
+    assert nd.predict_distribution(row).tobytes() == want.tobytes()
+    row[column] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EncodingMismatch, match=f"column {column}"):
+            nd.predict_distribution(row)
+        with pytest.raises(EncodingMismatch, match=f"column {column}"):
+            nd.predict_distribution_batch(np.vstack([d.values[:3], row]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,15 +293,17 @@ def _ref_fit(d, params):
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, -g, rcond=None)[0]
         alpha = 1.0
-        for _ in range(50):
-            cand = beta + alpha * step
-            cand_obj = _ref_nll(cand, X, target, m, ridge_diag)
-            if cand_obj < obj:
+        # a candidate past 1e154 overflows ``beta * beta``; it is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(50):
+                cand = beta + alpha * step
+                cand_obj = _ref_nll(cand, X, target, m, ridge_diag)
+                if cand_obj < obj:
+                    break
+                alpha *= 0.5
+            else:
+                converged = True
                 break
-            alpha *= 0.5
-        else:
-            converged = True
-            break
         if obj - cand_obj <= 1e-13 * (1.0 + abs(cand_obj)):
             stationary_streak += 1
         else:
@@ -398,6 +402,21 @@ def _logistic_problems(draw):
 @given(_logistic_problems())
 def test_single_pass_newton_matches_two_pass_reference(problem):
     _assert_fits_bit_equal(*problem)
+
+
+def test_overflowing_candidate_is_rejected_without_a_warning():
+    # ridge 0 and a column that is zero but for 5e-195 on one row: the
+    # Hessian is singular, lstsq's step puts a coefficient near 1.7e178,
+    # and that candidate's ``beta * beta`` overflows
+    attrs = [AttributeSpec("class", ("a", "b")), AttributeSpec("x0"), AttributeSpec("x1")]
+    values = np.zeros((12, 3))
+    values[0, 0] = 1.0
+    values[11, 1:] = (5.132107238301358e-195, 1.0)
+    d = Dataset(attrs, values, 0, weights=np.full(12, 0.1))
+    params = LogisticParams(ridge=0.0, max_iterations=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_fits_bit_equal(d, params)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (2, 7), (5, 10)])

@@ -2,6 +2,7 @@
 that do not depend on how many threads BLAS may use."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from conftest import DATASETS_DIR
 from nested_dichotomies.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # a pruned C4.5 reference (C4.5 pruning needs a normal deviate) and a second
@@ -83,3 +85,14 @@ def test_model_text_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         texts.append(proc.stdout)
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_readme_python_example_runs(monkeypatch, capsys):
+    # the README's one Python block, run from the repository root as a user
+    # would paste it, so a documented name that goes away fails here
+    readme = ROOT / "README.md"
+    (example,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    monkeypatch.chdir(ROOT)
+    exec(compile(example, str(readme), "exec"), {})
+    mean, std = map(float, capsys.readouterr().out.split())
+    assert 0.7 < mean <= 1.0 and 0.0 < std < 0.2

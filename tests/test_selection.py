@@ -100,6 +100,15 @@ def test_centroid_line_example():
     assert decision.s1 == (0, 1)
     assert decision.s2 == (2,)
 
+    # a at 0, b at 10, c at 2 (weight 1) and 7 (weight 3): c's mean is 4.5
+    # unweighted, nearer a, and (2 + 3 * 7) / 4 = 5.75 weighted, nearer b
+    attrs = [AttributeSpec("x"), AttributeSpec("class", ("a", "b", "c"))]
+    values = np.array([[0.0, 0.0], [10.0, 1.0], [2.0, 2.0], [7.0, 2.0]])
+    unweighted = Dataset(attrs, values, 1)
+    weighted = Dataset(attrs, values, 1, weights=[1.0, 1.0, 1.0, 3.0])
+    assert select_centroid([0, 1, 2], unweighted) == SplitDecision((0, 2), (1,))
+    assert select_centroid([0, 1, 2], weighted) == SplitDecision((0,), (1, 2))
+
 
 def test_centroid_two_classes():
     d = line_dataset([0.0, 5.0])
