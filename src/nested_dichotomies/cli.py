@@ -640,10 +640,11 @@ def main(argv=None) -> int:
     _pin_blas_threads()
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "cap", None) is not None and args.cap < 1:
-            raise ConfigError(0, "--cap must be >= 1")
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError(0, "--seed must be >= 0")
+        # flags whose range does not depend on the data
+        for flag, least in (("cap", 1), ("seed", 0), ("trees", 1), ("max_c", 2)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise ConfigError(0, f"--{flag.replace('_', '-')} must be >= {least}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

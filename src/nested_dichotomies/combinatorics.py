@@ -15,6 +15,7 @@ from math import comb
 
 from .data import Dataset
 from .dichotomy import build_nd
+from .errors import TooFewClasses
 from .learners import LearnerParams
 from .seeds import child_seed, rng_from
 from .selection import SplitDecision, SubsetSelector, assign_by_pair
@@ -115,10 +116,11 @@ def enumerate_splits(
 ) -> SplitCensus:
     """Run the deterministic pair assignment for every unordered class
     pair and count the distinct partitions.  Pair-order independent: each
-    pair's subsample stream depends only on (seed, pair)."""
+    pair's subsample stream depends only on (seed, pair).  Raises
+    TooFewClasses for fewer than 3 classes."""
     ids = sorted(class_ids)
     if len(ids) < 3:
-        raise ValueError("census needs at least 3 classes")
+        raise TooFewClasses("census needs at least 3 classes")
     seen = {}
     decisions = []
     for i, c1 in enumerate(ids):
@@ -147,7 +149,8 @@ def measure_subset_proportions(
     seed: int,
 ) -> float:
     """Mean share of classes in the smaller block, over every internal
-    node with at least 3 classes of every tree built."""
+    node with at least 3 classes of every tree built; TooFewClasses when
+    there is no such node."""
     if trees_per_dataset < 1:
         raise ValueError("trees_per_dataset must be >= 1")
     fractions = []
@@ -164,5 +167,5 @@ def measure_subset_proportions(
                     )
                     fractions.append(smaller / total)
     if not fractions:
-        raise ValueError("no internal nodes with >= 3 classes")
+        raise TooFewClasses("no internal nodes with >= 3 classes")
     return float(sum(fractions) / len(fractions))

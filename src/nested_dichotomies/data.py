@@ -32,11 +32,16 @@ dataset's codes may skip ranks but never reorder.  Datasets, codes
 included, are immutable after construction and safe to share across
 threads.
 
+A dataset built from raw values also builds its attribute layout once,
+``Dataset.layout``, and the datasets derived from it share that
+:class:`FeatureEncoder`.
+
 Values are validated where they enter the program: ``parse_arff``,
-``parse_csv`` and ``Dataset(...)`` check every value and weight.  A
-derived dataset is built from rows sliced or copied from its validated
-parent and trusts them: nothing is checked again, except the weights
-handed to ``with_weights`` and the row indices handed to ``subset``.
+``parse_csv`` and ``Dataset(...)`` check every value and weight, the
+features by the layout's row check.  A derived dataset is built from rows
+sliced or copied from its validated parent and trusts them: nothing is
+checked again, except the weights handed to ``with_weights`` and the row
+indices handed to ``subset``.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import numpy as np
 from .errors import (
     DegenerateWeights,
     EmptyInput,
+    EncodingMismatch,
     InvalidK,
     MissingValue,
     ParseError,
@@ -88,10 +94,101 @@ class Instance:
     weight: float = 1.0
 
 
+class FeatureEncoder:
+    """The attribute layout of a dataset and of every dataset derived from
+    it: the numeric feature columns, the nominal ones with their value
+    counts, the check of a row and the map of rows to a feature matrix.
+
+    Numeric attributes pass through; nominal attributes become one
+    indicator column per declared value.  The class attribute is skipped
+    throughout, so relabeling the class keeps the layout.
+    """
+
+    __slots__ = (
+        "n_attributes", "class_attribute", "numeric", "nominal", "nominal_counts",
+        "n_features", "feature_names", "_runs", "_nominal", "_counts", "_offsets",
+    )
+
+    def __init__(self, attributes, class_attribute: int):
+        self.n_attributes = len(attributes)
+        self.class_attribute = class_attribute
+        features = [j for j in range(self.n_attributes) if j != class_attribute]
+        self.numeric = tuple(j for j in features if not attributes[j].is_nominal)
+        self.nominal = tuple(j for j in features if attributes[j].is_nominal)
+        self.nominal_counts = tuple(len(attributes[j].values) for j in self.nominal)
+        self._nominal = np.array(self.nominal, dtype=np.intp)
+        self._counts = np.array(self.nominal_counts, dtype=np.float64)
+        runs = []  # [first source column, end, first output column]
+        offsets = []  # each nominal feature's first output column
+        names = []
+        offset = 0
+        for j in features:
+            spec = attributes[j]
+            if spec.is_nominal:
+                offsets.append(offset)
+                names.extend(f"{spec.name}={v}" for v in spec.values)
+                offset += len(spec.values)
+            else:
+                if runs and runs[-1][1] == j:  # extends the run before it
+                    runs[-1][1] = j + 1
+                else:
+                    runs.append([j, j + 1, offset])
+                names.append(spec.name)
+                offset += 1
+        # each run of consecutive numeric columns is copied as one block
+        self._runs = tuple(map(tuple, runs))
+        self._offsets = np.array(offsets, dtype=np.intp)
+        self.n_features = offset
+        self.feature_names = tuple(names)
+
+    def check(self, rows: np.ndarray) -> np.ndarray:
+        """The nominal features' value indices of the 2-D float ``rows``, in
+        attribute order.  Raises :class:`EncodingMismatch` unless each row
+        holds one value per attribute, every feature value is finite and
+        each nominal one a declared value index; the class column is not
+        read."""
+        if rows.shape[1] != self.n_attributes:
+            raise EncodingMismatch(
+                f"expected {self.n_attributes} attribute values, got {rows.shape[1]}"
+            )
+        if not np.isfinite(rows).all():
+            bad = ~np.isfinite(rows).all(axis=0)
+            bad[self.class_attribute] = False
+            if bad.any():
+                raise EncodingMismatch("non-finite value", int(np.argmax(bad)))
+        if not self._nominal.size:
+            return np.empty((rows.shape[0], 0), dtype=np.intp)
+        v = rows[:, self._nominal]
+        # in range first, so that the cast cannot overflow
+        ok = (v >= 0) & (v < self._counts)
+        if ok.all():
+            idx = v.astype(np.intp)
+            ok = idx == v
+            if ok.all():
+                return idx
+        column = int(self._nominal[np.argmin(ok.all(axis=0))])
+        raise EncodingMismatch("undeclared nominal value", column)
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """The feature matrix of ``rows``, checked as :meth:`check` does."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        idx = self.check(rows)
+        n = rows.shape[0]
+        out = np.zeros((n, self.n_features))
+        for src, end, offset in self._runs:
+            out[:, offset : offset + end - src] = rows[:, src:end]
+        if self._offsets.size:
+            # every nominal feature's indicator in one assignment
+            out[np.arange(n)[:, None], self._offsets + idx] = 1.0
+        return out
+
+
 class Dataset:
     """Immutable table of instances with one nominal class attribute."""
 
-    __slots__ = ("attributes", "values", "weights", "class_attribute", "codes", "code_values")
+    __slots__ = (
+        "attributes", "values", "weights", "class_attribute", "codes", "code_values", "layout"
+    )
 
     def __init__(
         self,
@@ -116,39 +213,36 @@ class Dataset:
         if len(cls_spec.values) < 2:
             raise ValueError("class attribute needs at least 2 declared labels")
         weights = np.ones(n) if weights is None else _checked_weights(weights, n)
-        if n:
-            if not np.all(np.isfinite(values)):
-                raise ValueError("non-finite attribute value")
-            for j, spec in enumerate(attributes):
-                if spec.is_nominal:
-                    col = values[:, j]
-                    if np.any(col != np.floor(col)) or col.min() < 0 or col.max() >= len(
-                        spec.values
-                    ):
-                        raise ValueError(
-                            f"attribute {spec.name!r}: nominal index out of range"
-                        )
-        numeric = [j for j, spec in enumerate(attributes) if not spec.is_nominal]
-        codes, code_values = _order_codes(values, numeric)
-        self._fill(attributes, values, class_attribute, weights, codes, code_values)
+        layout = FeatureEncoder(attributes, class_attribute)
+        try:
+            layout.check(values)
+        except EncodingMismatch as exc:
+            raise ValueError(f"attribute {attributes[exc.column].name!r}: {exc.reason}") from None
+        labels = values[:, class_attribute]
+        if np.any((labels != np.floor(labels)) | (labels < 0) | (labels >= len(cls_spec.values))):
+            raise ValueError(f"class attribute {cls_spec.name!r}: undeclared label index")
+        codes, code_values = _order_codes(values, layout.numeric)
+        self._fill(attributes, values, weights, codes, code_values, layout)
 
     def _derive(self, attributes, values, weights, codes) -> "Dataset":
-        """A dataset of arrays sliced or copied from this one's.  Trusted:
-        this one was validated, so nothing is checked again."""
+        """A dataset of arrays sliced or copied from this one's, sharing its
+        code values and layout.  Trusted: this one was validated, so nothing
+        is checked again."""
         d = object.__new__(Dataset)
-        d._fill(attributes, values, self.class_attribute, weights, codes, self.code_values)
+        d._fill(attributes, values, weights, codes, self.code_values, self.layout)
         return d
 
-    def _fill(self, attributes, values, class_attribute, weights, codes, code_values):
+    def _fill(self, attributes, values, weights, codes, code_values, layout):
         values.flags.writeable = False
         weights.flags.writeable = False
         codes.flags.writeable = False
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "class_attribute", class_attribute)
+        object.__setattr__(self, "class_attribute", layout.class_attribute)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "code_values", code_values)
+        object.__setattr__(self, "layout", layout)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")

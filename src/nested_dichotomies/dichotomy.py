@@ -86,16 +86,17 @@ class NestedDichotomy(MultiClassModel):
     def predict_distribution_batch(self, rows) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         out = np.zeros((rows.shape[0], self.n_classes))
-
-        def descend(node: NDNode, mass: np.ndarray):
+        # an explicit stack, left subtree first: a recursive closure would be
+        # a reference cycle holding ``out`` until the cyclic collector runs
+        stack = [(self.root, np.ones(rows.shape[0]))]
+        while stack:
+            node, mass = stack.pop()
             if node.is_leaf:
                 out[:, node.class_subset[0]] = mass
-                return
+                continue
             p = node.model.predict_prob_batch(rows)
-            descend(node.left, mass * p)
-            descend(node.right, mass * (1.0 - p))
-
-        descend(self.root, np.ones(rows.shape[0]))
+            stack.append((node.right, mass * (1.0 - p)))
+            stack.append((node.left, mass * p))
         return out
 
     # -- inspection ----------------------------------------------------
@@ -203,7 +204,7 @@ def build_nd(
             except NDError as exc:
                 raise TrainingError(subset, exc) from exc
         if structure_only:
-            model = ConstantModel(0.5, node_data.n_attributes)
+            model = ConstantModel(0.5, node_data.layout)
         else:
             model = _node_model(node_data, decision, learner, subset)
         left = build(decision.s1, node_data.restrict_to_classes(decision.s1), path + (0,))
@@ -223,7 +224,7 @@ def _node_model(node_data: Dataset, decision: SplitDecision, learner, subset):
     if w1 <= 0 or w2 <= 0:
         total = w1 + w2
         prior = w1 / total if total > 0 else 0.5
-        return ConstantModel(prior, node_data.n_attributes)
+        return ConstantModel(prior, node_data.layout)
     try:
         return fit_binary_model(node_data.relabel_binary(decision.s1), learner)
     except NDError as exc:

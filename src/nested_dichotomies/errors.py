@@ -54,7 +54,17 @@ class DidNotConverge(NDError):
 
 class EncodingMismatch(NDError):
     """Instance values do not fit the model's attributes: the wrong count,
-    a non-finite feature value, or an undeclared nominal value."""
+    a non-finite feature value, or an undeclared nominal value.  Carries the
+    offending ``column``, None for a wrong count, and the ``reason``."""
+
+    def __init__(self, reason: str, column: int | None = None):
+        self.reason = reason
+        self.column = column
+        super().__init__(reason if column is None else f"{reason} in column {column}")
+
+
+class TooFewClasses(NDError, ValueError):
+    """The data holds fewer classes than the analysis needs."""
 
 
 class EmptyClass(NDError):

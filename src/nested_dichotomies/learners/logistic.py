@@ -25,7 +25,7 @@ except ImportError:  # numpy's private module layout moved: use the wrapper
 
 from ..data import Dataset
 from ..errors import DidNotConverge, InvalidParam
-from .base import BinaryModel, FeatureEncoder, binary_class_info, check_count
+from .base import BinaryModel, binary_class_info, check_count
 
 _MAX_HALVINGS = 50
 
@@ -154,7 +154,6 @@ class LogisticModel(BinaryModel):
         self.class_pair = tuple(class_pair)
         self.iterations = int(iterations)
         self.converged = bool(converged)
-        self.n_attributes = encoder.n_attributes
 
     def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
         X = self.encoder.encode(rows)
@@ -206,8 +205,7 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
       where ``np.linalg.solve`` would.
     """
     lo, hi, target = binary_class_info(d)
-    encoder = FeatureEncoder(d.attributes, d.class_attribute)
-    raw = encoder.encode(d.values)
+    raw = d.layout.encode(d.values)
     m = d.weights
 
     # Standardize with weighted moments; constant columns keep scale 1.
@@ -304,7 +302,7 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
 
     weights = beta[1:] / scale
     intercept = beta[0] - float(weights @ mu)
-    model = LogisticModel(weights, intercept, encoder, (lo, hi), iterations, converged)
+    model = LogisticModel(weights, intercept, d.layout, (lo, hi), iterations, converged)
     if not converged:
         raise DidNotConverge(iterations, model=model)
     return model

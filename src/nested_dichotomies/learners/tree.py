@@ -72,7 +72,7 @@ import numpy as np
 from .._special import ndtri
 from ..data import Dataset
 from ..errors import InvalidParam
-from .base import BinaryModel, RowCheck, binary_class_info, check_count
+from .base import BinaryModel, binary_class_info, check_count
 
 _EPS = 1e-12
 
@@ -150,17 +150,15 @@ def add_errs(n: float, e: float, cf: float) -> float:
 class TreeModel(BinaryModel):
     kind = "tree"
 
-    def __init__(self, root, attributes, class_attribute, class_pair):
+    def __init__(self, root, attributes, layout, class_pair):
         self.root = root
         self.attributes = attributes
-        self.class_attribute = class_attribute
+        self.layout = layout
         self.class_pair = tuple(class_pair)
-        self.n_attributes = len(attributes)
-        self._check = RowCheck(attributes, class_attribute)
 
     def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        self._check(rows)
+        self.layout.check(rows)
         out = np.empty(rows.shape[0])
         stack = [(self.root, np.arange(rows.shape[0]))]
         while stack:
@@ -223,11 +221,7 @@ def _unit_weights(weights: np.ndarray) -> bool:
 def _cell_width(d: Dataset) -> int:
     """The code range of the widest feature of ``d``: a numeric column's
     highest code plus one, or a nominal attribute's value count."""
-    widths = [
-        len(spec.values)
-        for j, spec in enumerate(d.attributes)
-        if spec.is_nominal and j != d.class_attribute
-    ]
+    widths = list(d.layout.nominal_counts)
     if d.codes.size:
         widths.append(int(d.codes.max()) + 1)
     return max(widths, default=0)
@@ -264,13 +258,9 @@ class _Grower:
     def __init__(self, d: Dataset, target, params, counts):
         self.values = d.values
         self.target = target
-        self.nominal_sizes = tuple(
-            len(spec.values) if spec.is_nominal else 0 for spec in d.attributes
-        )
-        features = [j for j in range(d.n_attributes) if j != d.class_attribute]
-        # the class attribute is nominal, so these are the columns of codes
-        self.numeric = tuple(j for j in features if not self.nominal_sizes[j])
-        self.nominal = tuple(j for j in features if self.nominal_sizes[j])
+        # the layout's numeric columns are the columns of codes
+        self.numeric = d.layout.numeric
+        self.nominal = d.layout.nominal
         self.slot_attr = np.array(self.numeric + self.nominal, dtype=np.intp)
         self.params = params
         self.min_leaf = float(params.min_instances_per_leaf)
@@ -326,7 +316,7 @@ class _Grower:
         pick = min(pool, key=attrs.__getitem__)
         attr, thr = attrs[pick], thresholds[pick]
 
-        nominal = bool(self.nominal_sizes[attr])
+        nominal = attr in self.nominal
         col = self.values[rows, attr]
         go_left = col == thr if nominal else col <= thr
         return _Node(attr, thr, nominal, None, None, w1, w2), go_left
@@ -556,8 +546,8 @@ class _ListGrower(_Grower):
 
         # nominal column i's codes, offset to its own run bin_ranges[i] of
         # bins; each bin's slot and value index
-        sizes = [self.nominal_sizes[j] for j in self.nominal]
-        offsets = np.cumsum([0] + sizes)
+        sizes = d.layout.nominal_counts
+        offsets = np.cumsum((0, *sizes))
         self.bin_ranges = tuple(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
         self.bins = d.values[:, self.nominal].T.astype(np.intp) + offsets[:-1, None]
         self.bin_slot = np.repeat(np.arange(m, m + len(sizes)), sizes)
@@ -799,4 +789,4 @@ def fit_tree(d: Dataset, params: TreeParams = TreeParams()) -> TreeModel:
     root = _grower(d, target, params).grow()
     if params.prune:
         root = _prune(root, params.pruning_confidence)
-    return TreeModel(root, d.attributes, d.class_attribute, (lo, hi))
+    return TreeModel(root, d.attributes, d.layout, (lo, hi))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyClass, InvalidParam
-from .learners import FeatureEncoder, LearnerParams, fit_binary_model
+from .learners import LearnerParams, fit_binary_model
 from .seeds import rng_from
 
 
@@ -86,7 +86,7 @@ def select_class_balanced(class_ids, rng: np.random.Generator) -> SplitDecision:
 def _class_means(d: Dataset, class_ids) -> dict[int, np.ndarray]:
     """The weighted mean encoded row of each class in ``class_ids`` that
     has instances in ``d``; classes without instances are left out."""
-    X = FeatureEncoder(d.attributes, d.class_attribute).encode(d.values)
+    X = d.layout.encode(d.values)
     y = d.class_indices()
     w = d.weights
     means = {}

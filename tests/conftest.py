@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from nested_dichotomies.data import AttributeSpec, Dataset, parse_arff
+from nested_dichotomies.data import AttributeSpec, Dataset, FeatureEncoder, parse_arff
 
 DATASETS_DIR = Path(__file__).resolve().parents[1] / "datasets"
 
@@ -83,3 +83,18 @@ def glass() -> Dataset:
 @pytest.fixture(scope="session")
 def vowel() -> Dataset:
     return load_uci("vowel")
+
+
+@pytest.fixture()
+def layouts_built(monkeypatch):
+    """Every :class:`FeatureEncoder` constructed while the test runs, in
+    order."""
+    made = []
+    init = FeatureEncoder.__init__
+
+    def recording(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FeatureEncoder, "__init__", recording)
+    return made

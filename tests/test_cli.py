@@ -489,3 +489,53 @@ def test_repeated_dataset_id_is_a_config_error(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: config line {first + 1}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["proportions", "--trees", "0"], "--trees must be >= 1"),
+        (["proportions", "--trees", "-2"], "--trees must be >= 1"),
+        (["space", "--max-c", "1"], "--max-c must be >= 2"),
+        (["space", "--max-c", "0"], "--max-c must be >= 2"),
+        (["space", "--max-c", "-3"], "--max-c must be >= 2"),
+    ],
+)
+def test_cli_rejects_trees_and_max_c(argv, message, blob_arff, capsys):
+    if argv[0] == "proportions":
+        argv = argv + ["--data", str(blob_arff)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+
+
+def test_cli_too_few_classes_is_a_data_failure(tmp_path, capsys):
+    d = gaussian_dataset(np.array([[0.0, 0.0], [5.0, 5.0]]), per_class=10, seed=1)
+    path = tmp_path / "two.arff"
+    path.write_text(serialize_arff(d, "two"))
+    assert main(["splits", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == "error: census needs at least 3 classes\n"
+    assert main(["proportions", "--data", str(path), "--trees", "2"]) == 1
+    assert capsys.readouterr().err == "error: no internal nodes with >= 3 classes\n"
+
+
+def test_evaluate_builds_one_layout_per_parsed_dataset(tmp_path, layouts_built, capsys):
+    cfg = tmp_path / "segment.cfg"
+    cfg.write_text(
+        "\n".join(
+            [
+                f"dataset = {DATASETS_DIR / 'segment.arff'}",
+                "k = 2",
+                "repeats = 1",
+                "jobs = 2",
+                f"out = {tmp_path / 'out'}",
+                "method = name=rpnd strategy=random_pair learner=logistic max_iter=1000",
+                "method = name=ada strategy=centroid learner=logistic ensemble=adaboost"
+                " size=2 max_iter=1000",
+                "method = name=multi strategy=random learner=tree ensemble=multiboost size=2",
+            ]
+        )
+        + "\n"
+    )
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert len(layouts_built) == 1

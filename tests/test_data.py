@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import gaussian_dataset, load_uci
+from conftest import DATASETS_DIR, gaussian_dataset, load_uci
 from nested_dichotomies.data import (
     AttributeSpec,
     Dataset,
@@ -435,6 +435,56 @@ def test_dataset_rejects_out_of_range_nominal():
     attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b"))]
     with pytest.raises(ValueError):
         Dataset(attrs, np.array([[1.0, 2.0]]), 1)
+
+
+@pytest.mark.parametrize(
+    "column, bad, message",
+    [
+        (0, np.nan, "attribute 'x': non-finite value"),
+        (0, -np.inf, "attribute 'x': non-finite value"),
+        (1, np.nan, "attribute 'n': non-finite value"),
+        (1, 3.0, "attribute 'n': undeclared nominal value"),
+        (1, 0.5, "attribute 'n': undeclared nominal value"),
+        (1, -1.0, "attribute 'n': undeclared nominal value"),
+        (2, np.nan, "class attribute 'c': undeclared label index"),
+        (2, 1.5, "class attribute 'c': undeclared label index"),
+    ],
+)
+def test_dataset_errors_name_the_attribute(column, bad, message):
+    # the layout's row check, mapped to the ValueError that Dataset documents
+    attrs = [AttributeSpec("x"), AttributeSpec("n", tuple("pqr")), AttributeSpec("c", ("a", "b"))]
+    values = np.array([[1.0, 0.0, 0.0], [2.0, 2.0, 1.0]])
+    values[1, column] = bad
+    with pytest.raises(ValueError) as err:
+        Dataset(attrs, values, 2)
+    assert str(err.value) == message
+
+
+def test_derived_datasets_share_the_layout():
+    d = parse_arff((DATASETS_DIR / "zoo.arff").read_text())
+    layout = d.layout
+    n = d.n_instances
+    train, test = train_test_split(d, stratified_folds(d, 3, 1, 0), 0, 1)
+    derived = [
+        d.subset([0, 2, 2]),
+        d.restrict_to_classes([0, 1]),
+        d.relabel_binary([0, 3]),
+        d.relabel_binary([0, 3]).restrict_to_classes([1]),
+        d.with_weights(np.full(n, 2.0)),
+        train,
+        test,
+        bootstrap_sample(d, 1),
+        weighted_resample(d, np.arange(n, dtype=float), 10, 1),
+    ]
+    assert all(x.layout is layout for x in derived)
+    assert layout.class_attribute == d.class_attribute
+    assert layout.numeric == tuple(j for j, s in enumerate(d.attributes) if not s.is_nominal)
+    assert layout.nominal == tuple(
+        j for j, s in enumerate(d.attributes) if s.is_nominal and j != d.class_attribute
+    )
+    assert layout.nominal_counts == tuple(len(d.attributes[j].values) for j in layout.nominal)
+    # a dataset built from raw values builds its own
+    assert Dataset(d.attributes, d.values, d.class_attribute).layout is not layout
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -10,7 +12,7 @@ from conftest import gaussian_dataset, load_uci, small_datasets
 from nested_dichotomies.data import AttributeSpec, Dataset, bootstrap_sample
 from nested_dichotomies.dichotomy import NDNode, NestedDichotomy, build_nd
 from nested_dichotomies.errors import EncodingMismatch, NDError
-from nested_dichotomies.learners import LogisticParams, TreeParams
+from nested_dichotomies.learners import ConstantModel, LogisticParams, TreeParams
 from nested_dichotomies.selection import STRATEGIES, SubsetSelector
 
 
@@ -406,3 +408,45 @@ def test_prediction_rejects_non_finite_and_undeclared_values(name, column, bad, 
             nd.predict_distribution(row)
         with pytest.raises(EncodingMismatch, match=f"column {column}"):
             nd.predict_distribution_batch(np.vstack([d.values[:3], row]))
+
+
+def test_node_models_share_the_parsed_datasets_layout(zoo):
+    logistic = build_nd(zoo, SubsetSelector("random_pair"), LogisticParams(), 3)
+    tree = build_nd(zoo, SubsetSelector("random_pair"), TreeParams(), 3)
+    nodes = list(logistic.internal_nodes())
+    assert len(nodes) == zoo.n_classes - 1
+    assert all(node.model.encoder is zoo.layout for node in nodes)
+    assert all(node.model.layout is zoo.layout for node in tree.internal_nodes())
+
+
+def test_constant_models_check_rows_as_every_learner_does(zoo):
+    nd = build_nd(zoo, SubsetSelector("random"), LogisticParams(), 0, structure_only=True)
+    assert all(isinstance(node.model, ConstantModel) for node in nd.internal_nodes())
+    row = zoo.values[0].copy()
+    assert nd.predict_distribution(row).sum() == pytest.approx(1.0)
+    row[1] = np.nan
+    with pytest.raises(EncodingMismatch, match="non-finite value in column 1"):
+        nd.predict_distribution(row)
+    # the model of a one-sided node
+    model = ConstantModel(0.25, zoo.layout)
+    assert model.predict_prob(zoo.values[0]) == 0.25
+    bad = zoo.values[:2].copy()
+    bad[1, 0] = 100.0  # "animal" has value indices 0-99
+    with pytest.raises(EncodingMismatch, match="undeclared nominal value in column 0"):
+        model.predict_prob_batch(bad)
+    with pytest.raises(EncodingMismatch, match="expected 18 attribute values, got 17"):
+        model.predict_prob_batch(bad[:, 1:])
+
+
+def test_prediction_frees_its_output_without_the_cyclic_collector(zoo):
+    # a prediction's arrays go when the caller drops them, not at the next
+    # collection, so peak memory does not follow the collector's cadence
+    nd = build_nd(zoo, SubsetSelector("random_pair"), TreeParams(), 3)
+    gc.disable()
+    try:
+        out = nd.predict_distribution_batch(zoo.values)
+        freed = weakref.ref(out)
+        del out
+        assert freed() is None
+    finally:
+        gc.enable()

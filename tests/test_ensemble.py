@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gaussian_dataset
-from nested_dichotomies.data import Dataset
+from conftest import DATASETS_DIR, gaussian_dataset
+from nested_dichotomies.data import Dataset, parse_arff
 from nested_dichotomies.dichotomy import NDNode, NestedDichotomy
 from nested_dichotomies.ensemble import (
     EnsembleModel,
@@ -263,3 +263,12 @@ def test_ensemble_text_dump():
     text = e.to_text()
     assert text.startswith("ensemble bagging")
     assert text.count("member ") == 3
+
+
+def test_bagged_build_builds_no_layout_beyond_the_parsed_one(layouts_built):
+    d = parse_arff((DATASETS_DIR / "vowel.arff").read_text())
+    assert layouts_built == [d.layout]
+    strategy = SubsetSelector("random_pair")
+    ens = build_bagged_ensemble(d, strategy, LogisticParams(max_iterations=1000), 3, seed=1)
+    ens.predict_distribution_batch(d.values[:50])
+    assert layouts_built == [d.layout]

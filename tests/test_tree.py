@@ -477,7 +477,7 @@ def _ref_fit(d, params):
     root = _ref_grow(d.values, target, d.weights, feature_cols, nominal_sizes, params)
     if params.prune:
         root = _ref_prune(root, params.pruning_confidence)
-    return TreeModel(root, d.attributes, d.class_attribute, (lo, hi))
+    return TreeModel(root, d.attributes, d.layout, (lo, hi))
 
 
 _FRACTIONS = (0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.0, 1.5, 2.0, 3.0)
