@@ -182,8 +182,9 @@ def build_nd(
     needs, runs exactly as usual.  Structure studies over many trees use
     this, since node models never influence the splits.
     """
+    present = d.classes_present()
     if class_ids is None:
-        class_ids = d.classes_present()
+        class_ids = present
     class_ids = tuple(sorted(class_ids))
     if len(class_ids) < 2:
         raise NDError(f"need at least 2 classes to build, got {len(class_ids)}")
@@ -211,7 +212,10 @@ def build_nd(
         right = build(decision.s2, node_data.restrict_to_classes(decision.s2), path + (1,))
         return NDNode(subset, model, left, right)
 
-    root = build(class_ids, d.restrict_to_classes(class_ids), ())
+    # datasets are immutable, so the root shares d unless it must drop rows
+    # of a present class that class_ids leaves out
+    root_data = d if set(present) <= set(class_ids) else d.restrict_to_classes(class_ids)
+    root = build(class_ids, root_data, ())
     return NestedDichotomy(root, d.class_names, seed, strategy.strategy_id)
 
 

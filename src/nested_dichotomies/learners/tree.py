@@ -21,7 +21,10 @@ candidate tests, the numeric code boundaries and the nominal ``value vs
 rest`` tests; only tests that leave the per-leaf minimum on both sides
 count, every ``x log2 x`` term of the node is taken in one vectorized
 pass, each attribute keeps its best test, and the attributes compete in
-one array.
+one array.  Only the chosen test's threshold is computed, and the node's
+rows go down it by their codes: ``code <= c`` is exactly ``value <=
+threshold``, as the threshold lies in ``[value of c, value of the node's
+next code)``.
 
 The weights of the tests are formed in one of three ways, chosen per fit
 from its data, with no option.  On unit weights all three give the same
@@ -32,11 +35,11 @@ third:
   resampling produce) when the histogram has no more cells than the fit
   has rows.  A feature has one cell per code in the fit's range (a
   nominal one per value), every feature padded to the widest, and each
-  cell holds its rows of either class.  One ``bincount`` counts a node;
-  a split counts only its smaller child and takes the larger as the
-  parent minus it, as in LightGBM (Ke et al., 2017).  A boundary's left
-  counts are running sums over the cells and each ``x log2 x`` term a
-  lookup in a table over ``0..n``.  No attribute is sorted.
+  cell holds all its rows and its class-1 rows.  One ``bincount`` counts
+  a node; a split counts only its smaller child and takes the larger as
+  the parent minus it, as in LightGBM (Ke et al., 2017).  A boundary's
+  left counts are running sums over the cells and each ``x log2 x`` term
+  a lookup in a table over ``0..n``.  No attribute is sorted.
 * Sorted attribute lists, as in SLIQ (Mehta, Agrawal and Rissanen,
   1996), counted, for unit weights when the histogram would have more
   cells than rows (many distinct values on few rows, where walking the
@@ -51,6 +54,9 @@ third:
   search over one attribute at a time would sum them, for any other
   weights: only unit weights make every sum an exact count, the same in
   any order of summation.
+
+On the two counting paths a child's class-1 count is the chosen test's
+count on its side, not a recount of its rows.
 
 Pruning is pessimistic-error pruning: a subtree collapses to a leaf when
 the leaf's upper-confidence error estimate does not exceed the subtree's.
@@ -242,26 +248,36 @@ def _grower(d: Dataset, target, params) -> "_Grower":
 
 class _Grower:
     """What the growers share: the growth loop, the choice of a node's split
-    among the best test of each attribute, and the gains of counted tests.
+    among the best test of each attribute, that test's threshold, and the
+    scores of counted tests.
 
     A subclass keeps each pending node as a ``state`` and gives the root's
-    (``_root``), the best test of every attribute at a node (``_best``),
-    the values either side of a numeric boundary (``_bounds``) and the
+    (``_root``), every feasible test of a node (``_candidates``), the code
+    and the values either side of a test (``_code``, ``_bounds``) and the
     growing of one node (``_split``).
 
-    Slot ``s`` scores attribute ``slot_attr[s]``, numeric ones first.  A
-    candidate test is a slot with the weight and class-1 weight on its
-    left side; numeric candidates ascend by code within their slot and
-    nominal ones by value index, which is the order that breaks ties.
+    Slot ``s`` scores attribute ``slot_attr[s]``, numeric ones first, and
+    ``columns[s]`` holds its codes, or a nominal attribute's value indices,
+    one per row.  A candidate test is a slot with the weight and class-1
+    weight on its left side; numeric candidates ascend by code within their
+    slot and nominal ones by value index, which is the order that breaks
+    ties.  A numeric test sends left the rows whose code is at most its
+    code, a nominal one the rows of its value.
     """
 
     def __init__(self, d: Dataset, target, params, counts):
-        self.values = d.values
         self.target = target
         # the layout's numeric columns are the columns of codes
         self.numeric = d.layout.numeric
         self.nominal = d.layout.nominal
-        self.slot_attr = np.array(self.numeric + self.nominal, dtype=np.intp)
+        self.slot_attr = self.numeric + self.nominal
+        m = len(self.numeric)
+        # one dtype holds every code and every nominal value index
+        widest = np.min_scalar_type(max(d.layout.nominal_counts, default=0))
+        dtype = np.result_type(d.codes, widest)
+        self.columns = np.empty((len(self.slot_attr), d.n_instances), dtype=dtype)
+        self.columns[:m] = d.codes.T
+        self.columns[m:] = d.values[:, self.nominal].T
         self.params = params
         self.min_leaf = float(params.min_instances_per_leaf)
         self.counts = counts
@@ -287,20 +303,22 @@ class _Grower:
 
     def _test(self, state, rows, w1, w2, w_total):
         """``(leaf, None)`` for the node with ``state``, ``rows`` and
-        class weights ``w1`` and ``w2`` of ``w_total``, or
-        ``(node, go_left)`` with its children still to grow over the
-        ``rows`` that ``go_left`` marks and the rest."""
-        if self._pure_or_small(w1, w2, w_total) or not self.slot_attr.size:
+        class weights ``w1`` and ``w2`` of ``w_total``, or ``(node,
+        (go_left, left_1))`` with its children still to grow over the
+        ``rows`` that ``go_left`` marks and the rest; ``left_1`` is the
+        chosen test's class-1 count on the left, or None without counts."""
+        if self._pure_or_small(w1, w2, w_total) or not self.slot_attr:
             return _Leaf(w1, w2), None
-        best = self._best(state, w1)
-        if best is None:
+        found = self._candidates(state, w1)
+        if found is None:
             return _Leaf(w1, w2), None
+        where, (a, pos, left_1, scores) = found
+        slots, best = self._best_tests(a, scores[0])
 
         # the informative tests (or all, if none is) compete on gain ratio
         # or gain; ties go to the lowest attribute.  There is one test per
         # attribute, few enough that Python floats beat numpy calls
-        attrs, gains, split_info, thresholds = best
-        gains, split_info = gains.tolist(), split_info.tolist()
+        gains, split_info = scores.take(best, axis=1).tolist()
         floor = _EPS * max(1.0, w_total)
         pool = [i for i, g in enumerate(gains) if g > floor]
         if pool:
@@ -312,79 +330,79 @@ class _Grower:
             pool = [i for i, g in zip(pool, score) if g >= top]
         else:
             pool = range(len(gains))
-        attrs = attrs.tolist()
-        pick = min(pool, key=attrs.__getitem__)
-        attr, thr = attrs[pick], thresholds[pick]
+        slots = slots.tolist()
+        pick = min(pool, key=lambda i: self.slot_attr[slots[i]])
+        slot, i = slots[pick], int(best[pick])
 
-        nominal = attr in self.nominal
-        col = self.values[rows, attr]
-        go_left = col == thr if nominal else col <= thr
-        return _Node(attr, thr, nominal, None, None, w1, w2), go_left
+        threshold, code = self._threshold(where, slot, int(pos[i]))
+        nominal = slot >= len(self.numeric)
+        column = self.columns[slot].take(rows)
+        go_left = column == code if nominal else column <= code
+        node = _Node(self.slot_attr[slot], threshold, nominal, None, None, w1, w2)
+        return node, (go_left, int(left_1[i]) if self.counts else None)
 
     def _pure_or_small(self, w1, w2, w_total):
         """Whether a node with class weights ``w1`` and ``w2`` of
         ``w_total`` is a leaf before any test is weighed."""
         return w1 <= 0 or w2 <= 0 or w_total < 2 * self.min_leaf
 
-    def _best_tests(self, tests, node):
-        """The best test of every attribute with a feasible one among
-        ``tests``, ``(slots, positions, gains, split_info)`` with slots
-        ascending, as arrays ``(attrs, gains, split_info, thresholds)`` in
-        slot order, gains and split info in unnormalized weight*bits units.
-        A numeric test's position goes to ``_bounds`` with ``node``; a
-        nominal one's is its value index."""
-        a, pos, gains, split_info = tests
-        # per slot (a run of candidates), the first within _EPS of the
-        # slot's highest gain: the lowest threshold or value of the best
+    def _best_tests(self, a, gains):
+        """The slots with a test among tests of slots ``a`` (ascending)
+        with ``gains``, and the index of each one's best test: the first
+        within ``_EPS`` of the slot's highest gain, so the lowest threshold
+        or value of the best."""
         new_slot = np.empty(a.size, dtype=bool)
         new_slot[0] = True
         np.not_equal(a[1:], a[:-1], out=new_slot[1:])
         starts = new_slot.nonzero()[0]
-        slots = a[starts]
-        top = np.zeros(self.slot_attr.size)
+        slots = a.take(starts)
+        top = np.zeros(len(self.slot_attr))
         top[slots] = np.maximum.reduceat(gains, starts) - _EPS
-        hit = (gains >= top[a]).nonzero()[0]
-        best = hit[a[hit].searchsorted(slots)]
+        hit = (gains >= top.take(a)).nonzero()[0]
+        return slots, hit.take(a.take(hit).searchsorted(slots))
 
-        # a numeric threshold is the midpoint of the values either side of
-        # the boundary, a nominal one the value's index
-        pos = pos[best]
-        thresholds = pos.astype(float)
-        n = slots.searchsorted(len(self.numeric))
-        if n:
-            below, above = self._bounds(node, slots[:n], pos[:n])
-            # the lower value where the midpoint leaves [below, above), so
-            # that both sides keep rows: two adjacent doubles can round up
-            # to the upper one (C4.5 takes the lower value then) and values
-            # past 8e307 overflow
-            mid = (below + above) / 2.0
-            thresholds[:n] = np.where((below <= mid) & (mid < above), mid, below)
-        return self.slot_attr[slots], gains[best], split_info[best], thresholds
+    def _threshold(self, where, slot, pos):
+        """The threshold of the test at ``pos`` of ``slot`` among the
+        candidates found at a node with ``where``, an ``np.float64`` as
+        model text prints it, and the code (value index) that the slot's
+        column is compared with: a numeric threshold is the midpoint of the
+        values either side of the boundary, a nominal one the value's
+        index."""
+        code = self._code(where, slot, pos)
+        if slot >= len(self.numeric):
+            return np.float64(code), code
+        below, above = self._bounds(where, slot, pos)
+        # the lower value where the midpoint leaves [below, above), so that
+        # both sides keep rows: two adjacent doubles can round up to the
+        # upper one (C4.5 takes the lower value then) and values past 8e307
+        # overflow.  Either way the rows at most the code's value go left
+        mid = (below + above) / 2.0
+        return (mid if below <= mid < above else below), code
 
-    def _count_gains(self, lw, lw1, k, n1):
-        """The gains and split info of tests with ``lw`` rows, ``lw1`` of
-        them class 1, on the left of a node of ``k`` rows, ``n1`` of them
-        class 1, every ``x log2 x`` term read from the table."""
-        # with counts each child's pair sums to its weight exactly, so the
-        # entropy and the split info share that term
-        terms = np.empty((6, lw.size), dtype=np.intp)
-        terms[0], terms[1] = lw, lw1
-        np.subtract(lw, lw1, out=terms[2])
-        np.subtract(k, lw, out=terms[3])
-        np.subtract(n1, lw1, out=terms[4])
-        np.subtract(terms[3], terms[4], out=terms[5])
-        xl_w, xl_1, xl_2, xr_w, xr_1, xr_2 = self._xlx.take(terms)
+    def _count_gains(self, terms, k, n1):
+        """The scores, gains over split info in a ``(2, tests)`` array, of
+        tests with ``terms[0]`` rows, ``terms[1]`` of them class 1, on the
+        left of a node of ``k`` rows, ``n1`` of them class 1, every ``x
+        log2 x`` term read from the table.  ``terms`` is a ``(6, tests)``
+        count buffer; its other rows are filled here: the right side's rows
+        and class-1 rows, then each side's class-2 rows."""
+        np.subtract(k, terms[0], out=terms[2])
+        np.subtract(n1, terms[1], out=terms[3])
+        np.subtract(terms[0:4:2], terms[1:4:2], out=terms[4:])
+        x = self._xlx.take(terms)
         x_w = self._xlx[k]
         parent = x_w - self._xlx[n1] - self._xlx[k - n1]
-        children = xl_w - xl_1
-        children -= xl_2
-        right = xr_w - xr_1
-        right -= xr_2
-        children += right
-        gains = np.subtract(parent, children, out=children)
-        split_info = x_w - xl_w
-        split_info -= xr_w
-        return gains, split_info
+        # with counts each child's pair sums to its weight exactly, so the
+        # entropy and the split info share that term; per side
+        # (x_w - x_1) - x_2, left and right in two strided rows
+        scores = np.subtract(x[0:4:2], x[1:4:2])
+        scores -= x[4:]
+        gains, split_info = scores
+        np.add(gains, split_info, out=gains)
+        np.subtract(parent, gains, out=gains)
+        np.subtract(x_w, x[0], out=split_info)
+        split_info -= x[2]
+        return scores
 
 
 class _HistogramGrower(_Grower):
@@ -394,28 +412,34 @@ class _HistogramGrower(_Grower):
     Slot ``s`` owns cells ``s*width`` to ``(s+1)*width - 1``, one per code
     of its feature, a nominal feature's codes being its value indices.  A
     node's state is its row ids in dataset order, its class-1 count and
-    its histogram: the rows per cell of class 0, then of class 1.  Each
-    row's ``keys`` are its bins in that histogram, so one ``bincount``
-    over a node's keys counts the node.  A split counts only its smaller
-    child; the larger is its parent minus that child.
+    its histogram, a ``(2, cells)`` table: all the rows per cell, then the
+    class-1 rows per cell.  Each row's ``keys`` are its bins in a count of
+    the class-0 cells and then the class-1 cells, so one ``bincount`` over
+    a node's keys and one add of its halves counts the node.  A split
+    counts only its smaller child; the larger is its parent minus that
+    child, and each child's class-1 count is the chosen test's.
 
     The cells a node's rows occupy, in cell order, play the runs of equal
     codes of a sorted list: a numeric boundary follows each, with the
-    running count of the slot's cells up to it on its left, and each
-    nominal one is a ``value vs rest`` test.  The values either side of a
-    boundary come from a per-fit table of each code's value.
+    running counts of the slot's cells up to it on its left, and each
+    nominal one is a ``value vs rest`` test.  The values either side of the
+    chosen boundary come from a per-fit table of each code's value.
     """
 
     def __init__(self, d: Dataset, target, params, width):
         super().__init__(d, target, params, counts=True)
-        m, slots = len(self.numeric), self.slot_attr.size
-        self.width = width
+        m, slots = len(self.numeric), len(self.slot_attr)
         self.n_cells = slots * width
-        keys = np.empty((d.n_instances, slots), dtype=np.intp)
-        keys[:, :m] = d.codes
-        keys[:, m:] = d.values[:, self.nominal]
-        keys += np.arange(slots) * width
-        keys += (self.first * self.n_cells)[:, None]
+        self.n_numeric_cells = m * width
+        # each cell's slot and code
+        self.cell_slot = np.repeat(np.arange(slots), width)
+        self.cell_code = np.tile(np.arange(width), slots)
+        # a row's keys: the first cell of each slot in its class's half,
+        # plus its codes
+        first_cells = np.add.outer((0, self.n_cells), np.arange(slots) * width)
+        keys = first_cells.take(self.first, axis=0)
+        keys[:, :m] += d.codes
+        keys[:, m:] += d.values[:, self.nominal].astype(np.intp)
         self.keys = keys
         # cell s*width + c of numeric slot s holds the value of code c
         table = np.zeros((m, width))
@@ -424,7 +448,9 @@ class _HistogramGrower(_Grower):
         self.code_values = table.ravel()
 
     def _histogram(self, keys):
-        return np.bincount(keys.ravel(), minlength=2 * self.n_cells)
+        hist = np.bincount(keys.ravel(), minlength=2 * self.n_cells).reshape(2, self.n_cells)
+        hist[0] += hist[1]
+        return hist
 
     def _root(self):
         rows = np.arange(self.keys.shape[0])
@@ -436,11 +462,12 @@ class _HistogramGrower(_Grower):
         one histogram per halving of the rows."""
         rows, n1, hist = state
         k = rows.size
-        node, go_left = self._test(state, rows, float(n1), float(k - n1), float(k))
-        if go_left is None:
+        node, test = self._test(state, rows, float(n1), float(k - n1), float(k))
+        if test is None:
             return node, ()
-        left, right = rows[go_left], rows[np.logical_not(go_left)]
-        n1_left = int(self.first.take(left).sum())
+        go_left, n1_left = test
+        left = rows[go_left]
+        right = rows[np.logical_not(go_left, out=go_left)]
         children = [("left", left, n1_left), ("right", right, n1 - n1_left)]
         if left.size > right.size:
             children.reverse()
@@ -449,7 +476,7 @@ class _HistogramGrower(_Grower):
         grow_large = not self._pure_or_small(large_n1, large.size - large_n1, large.size)
         small_hist = large_hist = None
         if grow_small or grow_large:
-            counted = self._histogram(self.keys[small])
+            counted = self._histogram(self.keys.take(small, axis=0))
             if grow_small:
                 small_hist = counted
             if grow_large:
@@ -459,38 +486,39 @@ class _HistogramGrower(_Grower):
             (small_side, (small, small_n1, small_hist)),
         )
 
-    def _best(self, state, w1):
+    def _candidates(self, state, w1):
+        """Every feasible test of the node with ``state``: the occupied
+        cells, and per test its slot, its position in those cells (a
+        numeric boundary's last cell) and its class-1 count on the left,
+        then the tests' scores as ``_count_gains`` gives them."""
         rows, n1, hist = state
         k, ml = rows.size, self.params.min_instances_per_leaf
-        one = hist[self.n_cells :]
-        total = np.add(hist[: self.n_cells], one)
-        cells = total.nonzero()[0]
-        slots, codes = np.divmod(cells, self.width)
-        lw, lw1 = total.take(cells), one.take(cells)
+        cells = hist[0].nonzero()[0]
+        left = hist.take(cells, axis=1)
+        slots = self.cell_slot.take(cells)
         # running counts over the numeric slots' cells laid end to end, each
         # earlier slot holding all k rows, n1 of them class 1
-        n = slots.searchsorted(len(self.numeric))
-        np.cumsum(lw[:n], out=lw[:n])
-        np.cumsum(lw1[:n], out=lw1[:n])
-        lw[:n] -= slots[:n] * k
-        lw1[:n] -= slots[:n] * n1
-        ok = lw >= ml
-        ok &= lw <= k - ml
+        n = cells.searchsorted(self.n_numeric_cells)
+        numeric = left[:, :n]
+        numeric.cumsum(axis=1, out=numeric)
+        numeric -= np.multiply.outer((k, n1), slots[:n])
+        ok = left[0] >= ml
+        ok &= left[0] <= k - ml
         at = ok.nonzero()[0]
         if not at.size:
             return None
-        gains, split_info = self._count_gains(lw.take(at), lw1.take(at), k, n1)
-        # a numeric boundary's position is its last cell's index in cells,
-        # a nominal test's its value index
-        pos = at.copy()
-        nominal = at.searchsorted(n)
-        pos[nominal:] = codes.take(at[nominal:])
-        return self._best_tests((slots.take(at), pos, gains, split_info), cells)
+        terms = np.empty((6, at.size), dtype=np.intp)
+        left.take(at, axis=1, out=terms[:2])
+        return cells, (slots.take(at), at, terms[1], self._count_gains(terms, k, n1))
 
-    def _bounds(self, cells, slots, pos):
+    def _code(self, cells, slot, pos):
+        """The code of the occupied ``cells`` at ``pos``, a nominal test's
+        value index."""
+        return int(self.cell_code[cells[pos]])
+
+    def _bounds(self, cells, slot, pos):
         """The values of the occupied ``cells`` at ``pos`` and after it."""
-        below, above = cells.take(pos), cells.take(pos + 1)
-        return self.code_values.take(below), self.code_values.take(above)
+        return self.code_values[cells[pos]], self.code_values[cells[pos + 1]]
 
 
 class _ListGrower(_Grower):
@@ -507,7 +535,8 @@ class _ListGrower(_Grower):
     in every row, into the same range of the other buffer, where the
     children's blocks then lie, so a node at depth ``d`` reads buffer
     ``d % 2`` and each node's block is its own stable sort.  A node's
-    state is ``(lo, hi, buffer)``.
+    state is ``(lo, hi, buffer, n1)``, ``n1`` its class-1 count with
+    ``counts`` (the chosen test's at each split) and None otherwise.
 
     Nominal tests are weighed by one ``bincount`` over every nominal
     column, each column's codes offset to its own run of bins.
@@ -524,9 +553,9 @@ class _ListGrower(_Grower):
     def __init__(self, d: Dataset, target, params, counts):
         super().__init__(d, target, params, counts)
         n = d.n_instances
-        self.weights = d.weights
+        self.values, self.weights = d.values, d.weights
         m = len(self.numeric)
-        codes = np.ascontiguousarray(d.codes.T)
+        codes = self.columns[:m]
         order = np.empty((m + 1, n), dtype=np.intp)
         order[:m] = np.argsort(codes, axis=1, kind="stable")
         order[m] = np.arange(n)
@@ -549,7 +578,7 @@ class _ListGrower(_Grower):
         sizes = d.layout.nominal_counts
         offsets = np.cumsum((0, *sizes))
         self.bin_ranges = tuple(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-        self.bins = d.values[:, self.nominal].T.astype(np.intp) + offsets[:-1, None]
+        self.bins = self.columns[m:].astype(np.intp) + offsets[:-1, None]
         self.bin_slot = np.repeat(np.arange(m, m + len(sizes)), sizes)
         self.bin_value = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
 
@@ -561,46 +590,57 @@ class _ListGrower(_Grower):
         return order, self._codes[buf][m * lo : m * hi].reshape(m, k)
 
     def _root(self):
-        return 0, self._go_left.size, 0
+        return 0, self._go_left.size, 0, int(self.first.sum()) if self.counts else None
 
     def _split(self, state):
         """The node ``lo:hi`` and its children's states, their blocks in
         the other buffer."""
-        lo, hi, buf = state
+        lo, hi, buf, n1 = state
         rows = self._block(lo, hi, buf)[0][-1]
         if self.counts:
-            w_total = float(hi - lo)
-            w1 = float(self.first.take(rows).sum())
+            w_total, w1 = float(hi - lo), float(n1)
         else:
             weights = self.weights[rows]
             w1 = float(weights @ self.target[rows])
             w_total = float(weights.sum())
-        node, go_left = self._test(state, rows, w1, w_total - w1, w_total)
-        if go_left is None:
+        node, test = self._test(state, rows, w1, w_total - w1, w_total)
+        if test is None:
             return node, ()
+        go_left, left_1 = test
         mid = lo + self._partition(lo, hi, buf, rows, go_left)
-        return node, (("right", (mid, hi, 1 - buf)), ("left", (lo, mid, 1 - buf)))
+        right_1 = n1 - left_1 if self.counts else None
+        return node, (("right", (mid, hi, 1 - buf, right_1)), ("left", (lo, mid, 1 - buf, left_1)))
 
-    def _best(self, state, w1):
-        order, codes = self._block(*state)
+    def _candidates(self, state, w1):
+        """Every feasible test of the node with ``state``: its order block,
+        and the tests as ``_counted_tests`` or ``_summed_tests`` gives
+        them."""
+        order, codes = self._block(*state[:3])
         if self.counts:
             tests = self._counted_tests(order, codes, int(w1))
         else:
             tests = self._summed_tests(order, codes)
-        return None if tests is None else self._best_tests(tests, order)
+        return None if tests is None else (order, tests)
 
-    def _bounds(self, order, slots, pos):
-        """The values of the rows either side of the boundaries at ``pos``,
-        flat indices into the ``(m, k)`` lists of numeric ``slots``."""
-        ids, cols = order.ravel(), self.slot_attr[slots]
-        return self.values[ids[pos], cols], self.values[ids[pos + 1], cols]
+    def _code(self, order, slot, pos):
+        """The code of the row at ``pos``, a flat index into the ``(m, k)``
+        lists, or a nominal test's value index ``pos``."""
+        if slot >= len(self.numeric):
+            return pos
+        return int(self.columns[slot, order.ravel()[pos]])
+
+    def _bounds(self, order, slot, pos):
+        """The values of the rows either side of the boundary at ``pos``."""
+        ids, col = order.ravel(), self.slot_attr[slot]
+        return self.values[ids[pos], col], self.values[ids[pos + 1], col]
 
     # -- unit weights: counts ------------------------------------------
 
     def _counted_tests(self, order, codes, n1):
         """Every feasible test of a node with unit weights and ``n1``
-        class-1 rows, as ``(slots, positions, gains, split_info)`` with
-        slots ascending; None when there is none."""
+        class-1 rows, as ``(slots, positions, class-1 counts on the left,
+        scores)``, ``scores`` as ``_count_gains`` gives them, with slots
+        ascending; None when there is none."""
         parts = []
         if self.numeric:
             parts.append(self._numeric_counts(order, codes, n1))
@@ -611,7 +651,9 @@ class _ListGrower(_Grower):
         )
         if a.size == 0:
             return None
-        return (a, pos, *self._count_gains(lw, lw1, order.shape[1], n1))
+        terms = np.empty((6, a.size), dtype=np.intp)
+        terms[0], terms[1] = lw, lw1
+        return a, pos, terms[1], self._count_gains(terms, order.shape[1], n1)
 
     def _numeric_counts(self, order, codes, n1):
         """The code boundaries of a node with unit weights that leave the
@@ -698,9 +740,10 @@ class _ListGrower(_Grower):
         x_sum, x_1, x_2, x_w = xlx[: 4 * s].reshape(4, s)
         xl_sum, xl_1, xl_2, xl_w, xr_sum, xr_1, xr_2, xr_w = xlx[4 * s :].reshape(8, c)
         parent = (x_sum - x_1 - x_2)[a]
-        gains = parent - ((xl_sum - xl_1 - xl_2) + (xr_sum - xr_1 - xr_2))
-        split_info = x_w[a] - xl_w - xr_w
-        return a, pos, gains, split_info
+        scores = np.empty((2, c))  # gains over split info
+        np.subtract(parent, (xl_sum - xl_1 - xl_2) + (xr_sum - xr_1 - xr_2), out=scores[0])
+        np.subtract(x_w[a] - xl_w, xr_w, out=scores[1])
+        return a, pos, lw1, scores
 
     def _numeric_sums(self, order, codes):
         """The code boundaries of a node: per slot the weight and class-1

@@ -419,6 +419,32 @@ def test_node_models_share_the_parsed_datasets_layout(zoo):
     assert all(node.model.layout is zoo.layout for node in tree.internal_nodes())
 
 
+def test_build_restricts_once_per_non_root_node(zoo, monkeypatch):
+    # the root keeps the parsed dataset when no present class is left out;
+    # an explicit class_ids that leaves one out builds on the restricted rows
+    calls = []
+    restrict = Dataset.restrict_to_classes
+
+    def counting(self, class_ids):
+        calls.append(tuple(class_ids))
+        return restrict(self, class_ids)
+
+    monkeypatch.setattr(Dataset, "restrict_to_classes", counting)
+    for class_ids in (None, range(zoo.n_classes)):
+        calls.clear()
+        nd = build_nd(zoo, SubsetSelector("random_pair"), TreeParams(), 3, class_ids=class_ids)
+        assert len(calls) == len(_all_nodes(nd.root)) - 1
+
+    calls.clear()
+    part = build_nd(zoo, SubsetSelector("random_pair"), TreeParams(), 3, class_ids=(0, 1, 2))
+    assert calls[0] == (0, 1, 2) and len(calls) == len(_all_nodes(part.root))
+    monkeypatch.undo()
+    alone = zoo.restrict_to_classes((0, 1, 2))
+    assert part.to_model_text() == build_nd(
+        alone, SubsetSelector("random_pair"), TreeParams(), 3
+    ).to_model_text()
+
+
 def test_constant_models_check_rows_as_every_learner_does(zoo):
     nd = build_nd(zoo, SubsetSelector("random"), LogisticParams(), 0, structure_only=True)
     assert all(isinstance(node.model, ConstantModel) for node in nd.internal_nodes())

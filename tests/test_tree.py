@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import gaussian_dataset, load_uci, simple_dataset
 from nested_dichotomies._special import ndtri
 from nested_dichotomies.data import AttributeSpec, Dataset
+from nested_dichotomies.dichotomy import build_nd
 from nested_dichotomies.errors import InvalidParam, SingleClass
 from nested_dichotomies.learners import TreeParams, fit_tree
 from nested_dichotomies.learners import tree as tree_module
@@ -23,6 +25,7 @@ from nested_dichotomies.learners.tree import (
     _Node,
     add_errs,
 )
+from nested_dichotomies.selection import SubsetSelector
 
 
 def two_class(values, class_names=("a", "b"), attr_names=None, nominal=None):
@@ -569,9 +572,21 @@ def test_presorted_search_matches_per_attribute_reference_unit_weights(problem):
 
 def _root_tests(grower, d, target):
     """The root's best test per attribute, as ``(attr, gain, split info,
-    threshold)`` tuples."""
-    best = grower._best(grower._root(), float(d.weights @ target))
-    return [] if best is None else list(zip(best[0].tolist(), *best[1:]))
+    threshold)`` tuples, each threshold as growth forms the chosen one's."""
+    found = grower._candidates(grower._root(), float(d.weights @ target))
+    if found is None:
+        return []
+    where, (a, pos, _, (gains, split_info)) = found
+    slots, best = grower._best_tests(a, gains)
+    return [
+        (
+            grower.slot_attr[slot],
+            gains[i],
+            split_info[i],
+            grower._threshold(where, slot, int(pos[i]))[0],
+        )
+        for slot, i in zip(slots.tolist(), best.tolist())
+    ]
 
 
 def _bits(cands):
@@ -612,13 +627,62 @@ def test_root_candidates_match_reference_bitwise_unit_weights(problem):
     _assert_root_candidates_match(*problem)
 
 
-def _pendigits_root():
-    # a training set of pendigits' size in 10-fold cross-validation, its
-    # ten classes relabeled to two, as at the root of an RPND tree
+def _pendigits_train(rng):
+    # a training set of pendigits' size in 10-fold cross-validation
     d = load_uci("pendigits")
+    return d.subset(np.sort(rng.permutation(d.n_instances)[:9890]))
+
+
+def _pendigits_root():
+    # the training set's ten classes relabeled to two, as at the root of an
+    # RPND tree
     rng = np.random.default_rng(5)
-    train = d.subset(np.sort(rng.permutation(d.n_instances)[:9890]))
+    train = _pendigits_train(rng)
     return train.relabel_binary(tuple(rng.choice(10, size=5, replace=False).tolist()))
+
+
+# sha256 of build_nd(...).to_model_text() on the pendigits training set, per
+# (strategy, seed, params); every node fit takes the class-count histograms
+_PENDIGITS_ND_DIGESTS = {
+    ("random_pair", 1, "default"):
+        "1b24ea20947ea90ace3e654566d232b9f6389b84463462ef015e2f97278c3127",
+    ("random_pair", 2, "default"):
+        "f7b930759652f14741f044d2b3bc77fed1769e77064cdac1c30727f738523ca2",
+    ("random", 1, "default"):
+        "5e6734e59e2c2b8f1c5768a3f6f4a6936995c2ed6a3c03f7e1eae91b4d4385d7",
+    ("random", 2, "default"):
+        "494ee527dddf3210e6353ff93107af1cfee79ee0e21653ed8d128a93d2dc2937",
+    ("random_pair", 1, "unpruned"):
+        "f2850d46aa8677d568f97461ca4b5dd64cf13484ea8f8836e82959d2846a37c3",
+    ("random", 1, "unpruned"):
+        "01add818820150a2c81fc4818e0ffe77478c39363bb454211af9a4298c721f43",
+}
+_DIGEST_PARAMS = {
+    "default": TreeParams(),
+    "unpruned": TreeParams(min_instances_per_leaf=1, prune=False),
+}
+
+
+@pytest.mark.parametrize("key", list(_PENDIGITS_ND_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_pendigits_histogram_trees_keep_their_digests(key, monkeypatch):
+    # the golden dumps hold no fit large enough for the histograms, so these
+    # digests pin that path's trees, model text bytes included
+    strategy, seed, params = key
+    paths = []
+    choose = tree_module._grower
+
+    def recording(d, target, tree_params):
+        grower = choose(d, target, tree_params)
+        paths.append(_path(grower))
+        return grower
+
+    monkeypatch.setattr(tree_module, "_grower", recording)
+    train = _pendigits_train(np.random.default_rng(5))
+    nd = build_nd(train, SubsetSelector(strategy), _DIGEST_PARAMS[params], seed)
+    text = nd.to_model_text()
+    # at least one fit per internal node, each of them on histograms
+    assert len(paths) >= 9 and set(paths) == {"histogram"}
+    assert hashlib.sha256(text.encode()).hexdigest() == _PENDIGITS_ND_DIGESTS[key]
 
 
 def _segment_pair():
