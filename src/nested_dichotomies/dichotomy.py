@@ -22,7 +22,7 @@ from .errors import NDError, TrainingError
 from .learners import ConstantModel, LearnerParams, fit_binary_model
 from .learners.base import _as_rows
 from .seeds import node_rng
-from .selection import SplitDecision, SubsetSelector
+from .selection import SubsetSelector
 
 
 class NDNode:
@@ -142,7 +142,8 @@ class NestedDichotomy(MultiClassModel):
 
     def to_dot(self) -> str:
         """Graphviz digraph; nodes are numbered in preorder, and each edge
-        line follows the whole subtree of its child."""
+        line follows the whole subtree of its child.  Labels escape ``\\``
+        and ``"``, so any class name is read back as written."""
         lines = ["digraph nested_dichotomy {", "  node [shape=ellipse];"]
         ids = {}
         open_edges = []  # (child path, edge line), deepest last
@@ -152,6 +153,7 @@ class NestedDichotomy(MultiClassModel):
                 lines.append(open_edges.pop()[1])
             ids[path] = i
             label = ", ".join(self.class_names[c] for c in node.class_subset)
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{i} [label="{label}"];')
             if path:
                 open_edges.append((path, f"  n{ids[path[:-1]]} -> n{i};"))
@@ -172,10 +174,10 @@ def build_nd(
     present in ``d``).
 
     The structural split is made even when the node's data is missing
-    classes of its subset (bootstrap resamples can drop classes): a block
-    with no instances gets a constant-probability node model at the
-    empirical prior, and a node where fewer than two subset classes have
-    instances falls back to splitting off the lowest class.
+    classes of its subset (bootstrap resamples can drop classes): the
+    strategy splits any class set (see ``selection``), and a block with no
+    instances gets a constant-probability node model at the empirical
+    prior.
 
     ``structure_only`` skips training the final per-node models (constant
     placeholders are stored instead); split selection, and any model it
@@ -189,21 +191,13 @@ def build_nd(
     if len(class_ids) < 2:
         raise NDError(f"need at least 2 classes to build, got {len(class_ids)}")
 
-    data_free = strategy.strategy_id in ("random", "class_balanced")
-
     def build(subset, node_data: Dataset, path) -> NDNode:
         if len(subset) == 1:
             return NDNode(subset)
-        rng = node_rng(seed, path)
-        counts = node_data.class_counts()
-        present = [c for c in subset if counts[c] > 0]
-        if len(subset) > 2 and len(present) < 2 and not data_free:
-            decision = SplitDecision([subset[0]], subset[1:])
-        else:
-            try:
-                decision = strategy.select(subset, node_data, learner, rng)
-            except NDError as exc:
-                raise TrainingError(subset, exc) from exc
+        try:
+            decision = strategy.select(subset, node_data, learner, node_rng(seed, path))
+        except NDError as exc:
+            raise TrainingError(subset, exc) from exc
         if structure_only:
             model = ConstantModel(0.5, node_data.layout)
         else:
@@ -219,7 +213,7 @@ def build_nd(
     return NestedDichotomy(root, d.class_names, seed, strategy.strategy_id)
 
 
-def _node_model(node_data: Dataset, decision: SplitDecision, learner, subset):
+def _node_model(node_data: Dataset, decision, learner, subset):
     """Binary model over the full node data relabeled by block; degenerate
     one-sided nodes get a constant model at the empirical prior."""
     counts = node_data.class_counts()

@@ -67,10 +67,6 @@ class TooFewClasses(NDError, ValueError):
     """The data holds fewer classes than the analysis needs."""
 
 
-class EmptyClass(NDError):
-    """An operation requiring at least one instance per class found none."""
-
-
 class MismatchedPlans(NDError):
     """Two CV results being compared were not produced from the same fold plan."""
 

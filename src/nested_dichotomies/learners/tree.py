@@ -253,8 +253,8 @@ class _Grower:
 
     A subclass keeps each pending node as a ``state`` and gives the root's
     (``_root``), every feasible test of a node (``_candidates``), the code
-    and the values either side of a test (``_code``, ``_bounds``) and the
-    growing of one node (``_split``).
+    of a test and the node's next code after a numeric one (``_code``,
+    ``_next_code``) and the growing of one node (``_split``).
 
     Slot ``s`` scores attribute ``slot_attr[s]``, numeric ones first, and
     ``columns[s]`` holds its codes, or a nominal attribute's value indices,
@@ -278,6 +278,7 @@ class _Grower:
         self.columns = np.empty((len(self.slot_attr), d.n_instances), dtype=dtype)
         self.columns[:m] = d.codes.T
         self.columns[m:] = d.values[:, self.nominal].T
+        self.code_values = d.code_values
         self.params = params
         self.min_leaf = float(params.min_instances_per_leaf)
         self.counts = counts
@@ -366,12 +367,13 @@ class _Grower:
         candidates found at a node with ``where``, an ``np.float64`` as
         model text prints it, and the code (value index) that the slot's
         column is compared with: a numeric threshold is the midpoint of the
-        values either side of the boundary, a nominal one the value's
-        index."""
+        values of the code and of the node's next code, a nominal one the
+        value's index."""
         code = self._code(where, slot, pos)
         if slot >= len(self.numeric):
             return np.float64(code), code
-        below, above = self._bounds(where, slot, pos)
+        values = self.code_values[slot]
+        below, above = values[code], values[self._next_code(where, slot, pos)]
         # the lower value where the midpoint leaves [below, above), so that
         # both sides keep rows: two adjacent doubles can round up to the
         # upper one (C4.5 takes the lower value then) and values past 8e307
@@ -422,8 +424,7 @@ class _HistogramGrower(_Grower):
     The cells a node's rows occupy, in cell order, play the runs of equal
     codes of a sorted list: a numeric boundary follows each, with the
     running counts of the slot's cells up to it on its left, and each
-    nominal one is a ``value vs rest`` test.  The values either side of the
-    chosen boundary come from a per-fit table of each code's value.
+    nominal one is a ``value vs rest`` test.
     """
 
     def __init__(self, d: Dataset, target, params, width):
@@ -441,11 +442,6 @@ class _HistogramGrower(_Grower):
         keys[:, :m] += d.codes
         keys[:, m:] += d.values[:, self.nominal].astype(np.intp)
         self.keys = keys
-        # cell s*width + c of numeric slot s holds the value of code c
-        table = np.zeros((m, width))
-        for s, values in enumerate(d.code_values):
-            table[s, : values.size] = values[:width]
-        self.code_values = table.ravel()
 
     def _histogram(self, keys):
         hist = np.bincount(keys.ravel(), minlength=2 * self.n_cells).reshape(2, self.n_cells)
@@ -516,9 +512,9 @@ class _HistogramGrower(_Grower):
         value index."""
         return int(self.cell_code[cells[pos]])
 
-    def _bounds(self, cells, slot, pos):
-        """The values of the occupied ``cells`` at ``pos`` and after it."""
-        return self.code_values[cells[pos]], self.code_values[cells[pos + 1]]
+    def _next_code(self, cells, slot, pos):
+        """The code of the occupied ``cells`` after ``pos``."""
+        return int(self.cell_code[cells[pos + 1]])
 
 
 class _ListGrower(_Grower):
@@ -553,7 +549,7 @@ class _ListGrower(_Grower):
     def __init__(self, d: Dataset, target, params, counts):
         super().__init__(d, target, params, counts)
         n = d.n_instances
-        self.values, self.weights = d.values, d.weights
+        self.weights = d.weights
         m = len(self.numeric)
         codes = self.columns[:m]
         order = np.empty((m + 1, n), dtype=np.intp)
@@ -629,10 +625,10 @@ class _ListGrower(_Grower):
             return pos
         return int(self.columns[slot, order.ravel()[pos]])
 
-    def _bounds(self, order, slot, pos):
-        """The values of the rows either side of the boundary at ``pos``."""
-        ids, col = order.ravel(), self.slot_attr[slot]
-        return self.values[ids[pos], col], self.values[ids[pos + 1], col]
+    def _next_code(self, order, slot, pos):
+        """The code of the row after ``pos``, a flat index into the
+        ``(m, k)`` lists."""
+        return int(self.columns[slot, order.ravel()[pos + 1]])
 
     # -- unit weights: counts ------------------------------------------
 

@@ -13,7 +13,10 @@ Four ways to split a node's class set into two blocks:
   instances, and each class follows the majority of its votes.
 
 All selectors return a partition: two disjoint, non-empty blocks covering
-the input class set.
+the input class set, for any set of two or more classes.  The two that
+read data, ``centroid`` and ``random_pair``, split the lowest class off
+from the rest when fewer than two classes of the set have instances
+(bootstrap resampling can leave a node so).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyClass, InvalidParam
+from .errors import InvalidParam
 from .learners import LearnerParams, fit_binary_model
 from .seeds import rng_from
 
@@ -104,7 +107,9 @@ def select_centroid(class_ids, d: Dataset) -> SplitDecision:
     Ties on the furthest pair go to the lexicographically smallest class
     pair; an equidistant remaining class joins the first seed's side.
     Classes of the set with no instances in ``d`` (possible under
-    bootstrap resampling) also join the first seed's side.
+    bootstrap resampling) also join the first seed's side.  When fewer
+    than two classes of the set have instances, the lowest class is split
+    off from the rest.
     """
     ids = sorted(class_ids)
     if len(ids) < 2:
@@ -114,10 +119,7 @@ def select_centroid(class_ids, d: Dataset) -> SplitDecision:
     centroids = _class_means(d, ids)
     present = sorted(centroids)
     if len(present) < 2:
-        raise EmptyClass(
-            f"centroid selection needs instances for at least 2 classes, "
-            f"found {len(present)}"
-        )
+        return SplitDecision(ids[:1], ids[1:])
     best_pair, best_dist = None, -1.0
     for i, a in enumerate(present):
         for b in present[i + 1 :]:
@@ -203,20 +205,20 @@ def select_random_pair(
     cap: int | None = None,
 ) -> SplitDecision:
     """Random-pair selection; see :func:`assign_by_pair` for the
-    assignment rules.  With two classes the unique split is returned
-    without training anything."""
+    assignment rules.  The seed pair is drawn from the classes of the set
+    that have instances in ``d``.  With two classes the unique split is
+    returned without training anything, and when fewer than two classes of
+    a larger set have instances the lowest class is split off from the
+    rest; neither draws from ``rng``."""
     ids = sorted(class_ids)
     if len(ids) < 2:
         raise ValueError("need at least 2 classes to split")
     if len(ids) == 2:
         return SplitDecision([ids[0]], [ids[1]])
-    counts = np.bincount(d.class_indices(), weights=d.weights, minlength=max(ids) + 1)
+    counts = d.class_counts()
     present = [c for c in ids if counts[c] > 0]
     if len(present) < 2:
-        raise EmptyClass(
-            f"random-pair selection needs instances for at least 2 classes, "
-            f"found {len(present)}"
-        )
+        return SplitDecision(ids[:1], ids[1:])
     c1, c2 = rng.choice(np.asarray(present, dtype=np.intp), size=2, replace=False)
     return assign_by_pair(ids, d, learner, int(c1), int(c2), cap, rng)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_dataset, load_uci, small_datasets
-from nested_dichotomies.data import AttributeSpec, Dataset, bootstrap_sample
+from nested_dichotomies.data import AttributeSpec, Dataset, bootstrap_sample, parse_arff
 from nested_dichotomies.dichotomy import NDNode, NestedDichotomy, build_nd
 from nested_dichotomies.errors import EncodingMismatch, NDError
 from nested_dichotomies.learners import ConstantModel, LogisticParams, TreeParams
@@ -247,6 +247,56 @@ def test_missing_class_keeps_total_structure():
         pytest.fail("no bootstrap dropped a class in 40 seeds")
 
 
+_FIVE_CLASS_NAMES = tuple("abcde")
+
+# a node with fewer than two classes of rows splits off its lowest class;
+# each one-sided node holds a constant model at its empirical prior
+_MISSING_CLASS_TREES = {
+    ((2,), "centroid"): (
+        "[a,b,c,d,e]\n  [a]\n  [b,c,d,e]\n    [b]\n    [c,d,e]\n"
+        "      [c]\n      [d,e]\n        [d]\n        [e]\n",
+        {(0, 1, 2, 3, 4): 0.0, (1, 2, 3, 4): 0.0, (2, 3, 4): 1.0, (3, 4): 0.5},
+    ),
+    ((2,), "random_pair"): (
+        "[a,b,c,d,e]\n  [a]\n  [b,c,d,e]\n    [b]\n    [c,d,e]\n"
+        "      [c]\n      [d,e]\n        [d]\n        [e]\n",
+        {(0, 1, 2, 3, 4): 0.0, (1, 2, 3, 4): 0.0, (2, 3, 4): 1.0, (3, 4): 0.5},
+    ),
+    # the root splits on data; the absent classes join the first seed
+    ((1, 3), "centroid"): (
+        "[a,b,c,d,e]\n  [a,b,c,e]\n    [a]\n    [b,c,e]\n      [b]\n"
+        "      [c,e]\n        [c]\n        [e]\n  [d]\n",
+        {(0, 1, 2, 4): 0.0, (1, 2, 4): 1.0, (2, 4): 0.5},
+    ),
+    # ... or follow the vote-tie rule, with 0-0 votes
+    ((1, 3), "random_pair"): (
+        "[a,b,c,d,e]\n  [a,b,e]\n    [a]\n    [b,e]\n      [b]\n"
+        "      [e]\n  [c,d]\n    [c]\n    [d]\n",
+        {(0, 1, 4): 0.0, (1, 4): 1.0, (2, 3): 0.0},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "classes, strategy",
+    sorted(_MISSING_CLASS_TREES),
+    ids=lambda key: "+".join(map(str, key)) if isinstance(key, tuple) else key,
+)
+def test_nodes_missing_classes_split_off_their_lowest_class(classes, strategy):
+    attrs = [AttributeSpec("x"), AttributeSpec("class", _FIVE_CLASS_NAMES)]
+    rows = [[3.0 * c + 0.1 * i, c] for c in classes for i in range(4)]
+    d = Dataset(attrs, np.array(rows), 1)
+    nd = build_nd(d, SubsetSelector(strategy), LogisticParams(), 7, class_ids=range(5))
+    text, constants = _MISSING_CLASS_TREES[classes, strategy]
+    assert nd.to_text() == text
+    for node in nd.internal_nodes():
+        if node.class_subset in constants:
+            assert isinstance(node.model, ConstantModel)
+            assert node.model.p_first == constants[node.class_subset]
+        else:
+            assert not isinstance(node.model, ConstantModel)
+
+
 def _all_nodes(root):
     out = [root]
     if not root.is_leaf:
@@ -373,6 +423,25 @@ def test_zoo_dot_export_is_unchanged(zoo):
     # written by the recursive walk that the preorder walk replaced
     nd = build_nd(zoo, SubsetSelector("random_pair"), LogisticParams(), 3)
     assert nd.to_dot() == _ZOO_DOT
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    # unescaped, the quote would end a label early and the trailing
+    # backslash would escape its closing quote
+    d = parse_arff(
+        "@relation r\n@attribute x numeric\n@attribute class {'a\"b',c,d\\e\\}\n"
+        "@data\n0,'a\"b'\n1,c\n2,d\\e\\\n"
+    )
+    assert d.class_names == ('a"b', "c", "d\\e\\")
+    nd = build_nd(d, SubsetSelector("class_balanced"), LogisticParams(), 0)
+    labels = [line for line in nd.to_dot().splitlines() if "label=" in line]
+    assert labels == [
+        r'  n0 [label="a\"b, c, d\\e\\"];',
+        r'  n1 [label="a\"b, d\\e\\"];',
+        r'  n2 [label="d\\e\\"];',
+        r'  n3 [label="a\"b"];',
+        r'  n4 [label="c"];',
+    ]
 
 
 @lru_cache(maxsize=None)

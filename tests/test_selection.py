@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import gaussian_dataset, small_datasets
 from nested_dichotomies.data import AttributeSpec, Dataset
-from nested_dichotomies.errors import EmptyClass
 from nested_dichotomies.learners import LogisticParams, TreeParams
 from nested_dichotomies.selection import (
     STRATEGIES,
     SplitDecision,
     SubsetSelector,
+    _class_means,
     assign_by_pair,
     select_centroid,
     select_class_balanced,
@@ -138,12 +138,31 @@ def test_centroid_furthest_pair_tie_lexicographic():
     assert 0 in decision.s1 and 3 in decision.s2
 
 
-def test_centroid_missing_class_raises_when_unsplittable():
+def test_weighted_centroid():
+    attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b"))]
+    values = np.array([[0.0, 0.0], [3.0, 0.0], [10.0, 1.0]])
+    d = Dataset(attrs, values, 1, weights=np.array([1.0, 2.0, 1.0]))
+    means = _class_means(d, [0, 1])
+    assert means[0][0] == pytest.approx(2.0)  # (0*1 + 3*2) / 3
+    assert means[1][0] == pytest.approx(10.0)
+
+
+class Exploding:
+    """A learner that no selector may train."""
+
+
+@pytest.mark.parametrize("strategy", ["centroid", "random_pair"])
+def test_unsplittable_data_splits_off_the_lowest_class(strategy):
+    # only class 0 of the set has rows: the lowest class goes alone,
+    # nothing is trained and the node's stream is not drawn from
     attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b", "c"))]
     values = np.array([[0.0, 0.0], [0.5, 0.0]])
     d = Dataset(attrs, values, 1)
-    with pytest.raises(EmptyClass):
-        select_centroid([0, 1, 2], d)
+    for ids in ([0, 1, 2], [1, 2, 0], [1, 2]):
+        rng = np.random.default_rng(3)
+        decision = SubsetSelector(strategy).select(ids, d, Exploding(), rng)
+        assert decision == SplitDecision(sorted(ids)[:1], sorted(ids)[1:])
+        assert rng.random() == np.random.default_rng(3).random()
 
 
 def test_centroid_absent_class_joins_first_side():
@@ -181,10 +200,6 @@ def test_random_pair_groups_similar_classes():
 
 def test_random_pair_two_classes_no_training():
     rng = np.random.default_rng(8)
-
-    class Exploding:
-        pass
-
     decision = select_random_pair([4, 9], None, Exploding(), rng)
     assert decision.s1 == (4,) and decision.s2 == (9,)
 
