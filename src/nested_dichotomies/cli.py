@@ -94,28 +94,23 @@ class DatasetRef:
 @dataclass(frozen=True)
 class MethodSpec:
     name: str
-    strategy_id: str = "random_pair"
+    strategy: SubsetSelector = SubsetSelector()
     learner: LearnerParams = LogisticParams()
     ensemble_kind: str = "none"
     size: int = 1
-    subsample_cap: int | None = None  # overrides the experiment default
 
     def __post_init__(self):
-        SubsetSelector(self.strategy_id, self.subsample_cap)
         if self.ensemble_kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.ensemble_kind!r}")
         if self.size < 1:
             raise InvalidParam("size", "must be >= 1")
 
-    def make_builder(self, default_cap: int | None):
-        cap = self.subsample_cap if self.subsample_cap is not None else default_cap
-        strategy = SubsetSelector(self.strategy_id, cap)
-
+    def make_builder(self):
         def builder(train: Dataset, seed: int):
             if self.ensemble_kind == "none":
-                return build_nd(train, strategy, self.learner, seed)
+                return build_nd(train, self.strategy, self.learner, seed)
             build = _ENSEMBLE_BUILDERS[self.ensemble_kind]
-            return build(train, strategy, self.learner, self.size, seed)
+            return build(train, self.strategy, self.learner, self.size, seed)
 
         return builder
 
@@ -145,7 +140,6 @@ class ExperimentConfig:
     reference: str = ""  # defaults to the first method
     out: str = "results"
     jobs: int = 1
-    subsample_cap: int | None = None
 
     def __post_init__(self):
         if not self.datasets:
@@ -180,15 +174,13 @@ class ExperimentConfig:
             raise InvalidConfigValue("seed must be >= 0", "seed")
         if self.jobs < 1:
             raise InvalidConfigValue("jobs must be >= 1", "jobs")
-        if self.subsample_cap is not None and self.subsample_cap < 1:
-            raise InvalidConfigValue("subsample_cap must be >= 1", "subsample_cap")
 
 
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {"k", "repeats", "seed", "reference", "out", "jobs", "subsample_cap"}
+_SCALAR_KEYS = {"k", "repeats", "seed", "reference", "out", "jobs"}
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
@@ -216,14 +208,14 @@ def _parse_tokens(text: str, lineno: int) -> dict[str, str]:
     return out
 
 
-# method token -> (MethodSpec field, converter); learner options come from
-# the learner's row of _LEARNERS
+# method token -> (owner, field, converter): a MethodSpec or SubsetSelector
+# field; learner options come from the learner's row of _LEARNERS
 _METHOD_TOKENS = {
-    "name": ("name", str),
-    "strategy": ("strategy_id", str),
-    "ensemble": ("ensemble_kind", str),
-    "size": ("size", int),
-    "cap": ("subsample_cap", int),
+    "name": ("spec", "name", str),
+    "strategy": ("selector", "strategy_id", str),
+    "ensemble": ("spec", "ensemble_kind", str),
+    "size": ("spec", "size", int),
+    "cap": ("selector", "subsample_cap", int),
 }
 
 
@@ -244,13 +236,13 @@ def _method_from_tokens(tokens: dict[str, str], lineno: int) -> MethodSpec:
         raise ConfigError(lineno, f"unknown learner {kind!r}")
     params_type, options = _LEARNERS[kind]
     defaults = params_type()
-    spec, params = {}, {}
+    fields, params = {"spec": {}, "selector": {}}, {}
     for key, value in tokens.items():
         if key == "learner":
             continue
         if key in _METHOD_TOKENS:
-            field_name, convert = _METHOD_TOKENS[key]
-            spec[field_name] = _convert(key, value, convert, lineno)
+            owner, field_name, convert = _METHOD_TOKENS[key]
+            fields[owner][field_name] = _convert(key, value, convert, lineno)
         elif key in options:
             field_name = options[key]
             convert = type(getattr(defaults, field_name))
@@ -261,10 +253,11 @@ def _method_from_tokens(tokens: dict[str, str], lineno: int) -> MethodSpec:
                 raise ConfigError(lineno, f"unknown method option {key!r}")
             raise ConfigError(lineno, f"{key!r} is a {owner} option, not a {kind} one")
     try:
-        return MethodSpec(learner=params_type(**params), **spec)
+        strategy = SubsetSelector(**fields["selector"])
+        return MethodSpec(strategy=strategy, learner=params_type(**params), **fields["spec"])
     except InvalidParam as exc:
         # name the option by its token, not by the field that checks it
-        token = {f: t for t, (f, _) in _METHOD_TOKENS.items()}
+        token = {f: t for t, (_, f, _) in _METHOD_TOKENS.items()}
         token.update((f, t) for t, f in options.items())
         raise ConfigError(lineno, f"{token[exc.field]} {exc.requirement}") from None
     except ValueError as exc:
@@ -319,7 +312,7 @@ def parse_config(text: str) -> ExperimentConfig:
             scalars[key] = value
             scalar_lines[key] = lineno
 
-    def scalar_int(key: str, default: int | None) -> int | None:
+    def scalar_int(key: str, default: int) -> int:
         if key not in scalars:
             return default
         try:
@@ -342,7 +335,6 @@ def parse_config(text: str) -> ExperimentConfig:
             reference=scalars.get("reference", ""),
             out=scalars.get("out", "results"),
             jobs=scalar_int("jobs", 1),
-            subsample_cap=scalar_int("subsample_cap", None),
         )
     except InvalidConfigValue as exc:
         if exc.index is None:
@@ -393,12 +385,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ref_index = [m.name for m in cfg.methods].index(cfg.reference)
     results: dict[tuple[str, str], CVResult] = {}
 
-    def run_cell(ref: DatasetRef, d: Dataset, plan, method: MethodSpec):
-        builder = method.make_builder(cfg.subsample_cap)
-        return run_cv(d, builder, plan, dataset_id=ref.dataset_id, method_id=method.name)
-
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = [pool.submit(run_cell, *cell) for cell in cells]
+        futures = [
+            pool.submit(run_cv, d, m.make_builder(), plan, ref.dataset_id, m.name)
+            for ref, d, plan, m in cells
+        ]
         for (ref, _, _, method), fut in zip(cells, futures):
             try:
                 results[(ref.dataset_id, method.name)] = fut.result()
@@ -512,7 +503,10 @@ def _cmd_proportions(args) -> int:
 
 def _cmd_inspect(args) -> int:
     [(_, d)] = _load_data_args([args.data])
-    strategy = SubsetSelector(args.strategy, args.cap)
+    try:
+        strategy = SubsetSelector(args.strategy, args.cap)
+    except InvalidParam as exc:
+        raise ConfigError(0, f"--cap {exc.requirement}") from None
     nd = build_nd(d, strategy, _LEARNERS[args.learner][0](), args.seed)
     _emit([(nd.to_dot() if args.dot else nd.to_text()).rstrip("\n")], args.out)
     return 0
@@ -521,7 +515,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_train(args) -> int:
     [(_, d)] = _load_data_args([args.data])
     method = _method_from_tokens(_parse_tokens(args.method, 0), 0)
-    model = method.make_builder(args.cap)(d, args.seed)
+    model = method.make_builder()(d, args.seed)
     text = model.to_model_text() if hasattr(model, "to_model_text") else model.to_text()
     _emit([text.rstrip("\n")], args.out)
     return 0
@@ -606,7 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, help="method tokens, e.g. "
                    "'name=m strategy=random_pair learner=logistic'")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_train)
     return parser

@@ -171,7 +171,8 @@ def build_nd(
     structure_only: bool = False,
 ) -> NestedDichotomy:
     """Build one nested dichotomy over ``class_ids`` (default: the classes
-    present in ``d``).
+    present in ``d``), which must be distinct indices of ``d``'s declared
+    classes.
 
     The structural split is made even when the node's data is missing
     classes of its subset (bootstrap resamples can drop classes): the
@@ -188,6 +189,9 @@ def build_nd(
     if class_ids is None:
         class_ids = present
     class_ids = tuple(sorted(class_ids))
+    # fewer distinct declared ids than ids: a repeat or an undeclared id
+    if len(set(class_ids).intersection(range(d.n_classes))) < len(class_ids):
+        raise NDError(f"class ids must be distinct declared class indices, got {class_ids}")
     if len(class_ids) < 2:
         raise NDError(f"need at least 2 classes to build, got {len(class_ids)}")
 

@@ -439,8 +439,7 @@ class _HistogramGrower(_Grower):
         # plus its codes
         first_cells = np.add.outer((0, self.n_cells), np.arange(slots) * width)
         keys = first_cells.take(self.first, axis=0)
-        keys[:, :m] += d.codes
-        keys[:, m:] += d.values[:, self.nominal].astype(np.intp)
+        keys += self.columns.T
         self.keys = keys
 
     def _histogram(self, keys):

@@ -230,12 +230,14 @@ STRATEGIES = ("random", "class_balanced", "centroid", "random_pair")
 class SubsetSelector:
     """Strategy choice plus its options, in one passable object."""
 
-    strategy_id: str
-    subsample_cap: int | None = None  # random_pair selection models only
+    strategy_id: str = "random_pair"
+    subsample_cap: int | None = None  # per class, for random_pair's pair model
 
     def __post_init__(self):
         if self.strategy_id not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy_id!r}")
+        if self.subsample_cap is not None and self.strategy_id != "random_pair":
+            raise InvalidParam("subsample_cap", "applies only to strategy random_pair")
         if self.subsample_cap is not None and self.subsample_cap < 1:
             raise InvalidParam("subsample_cap", "must be >= 1")
 

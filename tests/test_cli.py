@@ -10,9 +10,13 @@ from nested_dichotomies.cli import (
     parse_config,
     run_experiment,
 )
-from nested_dichotomies.data import serialize_arff
+from nested_dichotomies.data import serialize_arff, stratified_folds
+from nested_dichotomies.dichotomy import build_nd
 from nested_dichotomies.errors import ConfigError
+from nested_dichotomies.evaluation import run_cv
 from nested_dichotomies.learners import LogisticParams
+from nested_dichotomies.seeds import child_seed
+from nested_dichotomies.selection import SubsetSelector
 
 TINY_CSV = "\n".join(
     f"{x},{y},{'a' if x + y < 2 else 'b' if x < 2 else 'c'}"
@@ -189,6 +193,39 @@ def test_cli_train_dumps_model(blob_arff, capsys):
     assert "logistic" in out
 
 
+def test_cli_train_has_no_cap_flag(blob_arff, capsys):
+    # a method's cap= token is the one place that sets the cap
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(blob_arff), "--method", "name=m", "--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+def test_method_cap_reaches_its_builder(tmp_path):
+    rng = np.random.default_rng(0)
+    d = gaussian_dataset(rng.normal(size=(5, 2)) * 2, per_class=20, spread=1.5, seed=1)
+    data = tmp_path / "blobs.arff"
+    data.write_text(serialize_arff(d, "blobs"))
+    out = tmp_path / "out"
+    cfg = parse_config(
+        f"dataset = {data}\nk = 2\nrepeats = 1\nseed = 5\nout = {out}\n"
+        "method = name=capped strategy=random_pair learner=logistic cap=2\n"
+    )
+    (method,) = cfg.methods
+    assert method.strategy == SubsetSelector("random_pair", 2)
+    assert run_experiment(cfg).exit_code == 0
+    row = (out / "results.csv").read_text().splitlines()[1].split(",")
+
+    plan = stratified_folds(d, 2, 1, child_seed(5, "blobs"))
+    means = {}
+    for cap in (2, None):
+        selector = SubsetSelector("random_pair", cap)
+        res = run_cv(d, lambda t, s: build_nd(t, selector, LogisticParams(), s), plan)
+        means[cap] = f"{res.mean:.10f}"
+    assert row[2] == means[2]
+    assert means[2] != means[None]  # the cap moves this result
+
+
 def test_cli_bad_config_exit_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense\n")
@@ -200,11 +237,13 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
     [
         ("evaluate", "method = name=capped strategy=random_pair learner=tree cap=0", [],
          "must be >= 1"),
-        ("evaluate", "subsample_cap = 0", [], "must be >= 1"),
+        ("evaluate", "subsample_cap = 0", [], "unknown config key 'subsample_cap'"),
         ("evaluate", "jobs = 0", [], "must be >= 1"),
         ("evaluate", "", ["--jobs", "-1"], "must be >= 1"),
         ("inspect", "", ["--cap", "0"], "must be >= 1"),
-        ("train", "", ["--method", "name=m", "--cap", "0"], "must be >= 1"),
+        ("inspect", "", ["--strategy", "random", "--cap", "5"],
+         "config error: --cap applies only to strategy random_pair\n"),
+        ("train", "", ["--method", "name=m cap=0"], "cap must be >= 1"),
         ("splits", "", ["--cap", "0"], "must be >= 1"),
         ("proportions", "", ["--cap", "-3"], "must be >= 1"),
         ("train", "", ["--method", "name=m ridge=-1"], "ridge must be >= 0"),
@@ -220,7 +259,8 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
     ],
     ids=[
         "method-cap", "subsample_cap", "jobs", "jobs-flag",
-        "inspect-cap", "train-cap", "splits-cap", "proportions-cap", "train-ridge",
+        "inspect-cap", "inspect-cap-on-random", "train-cap", "splits-cap", "proportions-cap",
+        "train-ridge",
         "train-ridge-inf", "train-ridge-nan", "train-tol-inf",
         "evaluate-seed", "inspect-seed", "train-seed", "splits-seed", "proportions-seed",
     ],
@@ -246,7 +286,7 @@ def test_cli_value_below_one_exit_two(
     "extra, reason, replace",
     [
         ("jobs = 0", "jobs must be >= 1", False),
-        ("subsample_cap = 0", "subsample_cap must be >= 1", False),
+        ("subsample_cap = 0", "unknown config key 'subsample_cap'", False),
         ("reference = missing", "reference method 'missing' not in the method list", False),
         # repeats "nd"
         ("method = name=nd strategy=random learner=logistic", "'nd' repeats", False),
@@ -265,6 +305,8 @@ def test_cli_value_below_one_exit_two(
         ("method = name=m ridge=inf", "ridge must be >= 0 and finite", False),
         ("method = name=m tol=inf", "tol must be > 0 and finite", False),
         ("method = name=m strategy=random_pair cap=0", "cap must be >= 1", False),
+        ("method = name=m strategy=random cap=5",
+         "cap applies only to strategy random_pair", False),
         ("method = name=m ensemble=bagging size=0", "size must be >= 1", False),
         ("seed = -1", "seed must be >= 0", True),
         ("k = 1", "k must be >= 2", True),
@@ -275,7 +317,8 @@ def test_cli_value_below_one_exit_two(
     ids=[
         "jobs", "subsample_cap", "reference", "duplicate-method",
         "ridge", "tol", "tol-nan", "max_iter", "min_leaf", "min_leaf-float", "cf-zero", "cf-high",
-        "tree-option-on-logistic", "ridge-on-tree", "ridge-inf", "tol-inf", "cap", "size",
+        "tree-option-on-logistic", "ridge-on-tree", "ridge-inf", "tol-inf", "cap",
+        "cap-on-random", "size",
         "seed", "k-one", "k-zero", "repeats", "duplicate-seed",
     ],
 )
@@ -304,7 +347,7 @@ def test_config_value_error_reports_its_line(
 @pytest.mark.parametrize(
     "key, value",
     [("k", "3"), ("repeats", "2"), ("seed", "7"), ("reference", "nd"), ("out", "elsewhere"),
-     ("jobs", "2"), ("subsample_cap", "50")],
+     ("jobs", "2")],
 )
 def test_repeated_scalar_key_is_a_config_error(tiny_dataset_file, tmp_path, key, value):
     # each key once is valid; set twice, the second line is the error and
@@ -437,7 +480,8 @@ def test_zoo_single_rpnd_logistic_accuracy_band(tmp_path):
     cfg = ExperimentConfig(
         datasets=(DatasetRef(str(DATASETS_DIR / "zoo.arff")),),
         methods=(
-            MethodSpec(name="rpnd", strategy_id="random_pair", learner=LogisticParams()),
+            MethodSpec(name="rpnd", strategy=SubsetSelector("random_pair"),
+                       learner=LogisticParams()),
         ),
         k=10,
         repeats=10,

@@ -545,3 +545,17 @@ def test_prediction_frees_its_output_without_the_cyclic_collector(zoo):
         assert freed() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "class_ids", [(-1, 0, 1), (0, 1, 3), (0, 0, 1)], ids=["negative", "past-last", "repeat"]
+)
+def test_class_ids_must_be_distinct_declared_classes(monkeypatch, class_ids):
+    d = gaussian_dataset(np.array([[0, 0], [3, 0], [0, 3]], dtype=float), per_class=6)
+
+    def no_selection(*args):
+        raise AssertionError("a node was selected before the ids were checked")
+
+    monkeypatch.setattr(SubsetSelector, "select", no_selection)
+    with pytest.raises(NDError, match="distinct declared class indices"):
+        build_nd(d, SubsetSelector("random"), LogisticParams(), 0, class_ids=class_ids)

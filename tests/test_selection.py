@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import gaussian_dataset, small_datasets
 from nested_dichotomies.data import AttributeSpec, Dataset
+from nested_dichotomies.errors import InvalidParam
 from nested_dichotomies.learners import LogisticParams, TreeParams
 from nested_dichotomies.selection import (
     STRATEGIES,
@@ -257,15 +258,22 @@ def test_selector_dispatch():
         SubsetSelector("nope")
 
 
+@pytest.mark.parametrize("strategy", ["random", "class_balanced", "centroid"])
+def test_cap_is_rejected_off_random_pair(strategy):
+    # only random_pair trains a pair model for the cap to limit
+    with pytest.raises(InvalidParam, match="applies only to strategy random_pair"):
+        SubsetSelector(strategy, 5)
+    assert SubsetSelector("random_pair", 5).subsample_cap == 5
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
     strategy=st.sampled_from(STRATEGIES),
     tree=st.booleans(),
-    cap=st.none() | st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_select_returns_partition_of_class_set(data, strategy, tree, cap, seed):
+def test_select_returns_partition_of_class_set(data, strategy, tree, seed):
     n_classes = data.draw(st.integers(2, 6))
     subset = sorted(data.draw(st.sets(st.integers(0, n_classes - 1), min_size=2)))
     # the node data may lack some of the subset's classes (as after a
@@ -273,6 +281,8 @@ def test_select_returns_partition_of_class_set(data, strategy, tree, cap, seed):
     present = sorted(data.draw(st.sets(st.sampled_from(subset), min_size=2)))
     d = data.draw(small_datasets(present, n_classes))
     learner = TreeParams(min_instances_per_leaf=1) if tree else LogisticParams()
+    # only random_pair reads a cap; any other strategy rejects one
+    cap = data.draw(st.none() | st.integers(1, 3)) if strategy == "random_pair" else None
     decision = SubsetSelector(strategy, cap).select(
         subset, d, learner, np.random.default_rng(seed)
     )
