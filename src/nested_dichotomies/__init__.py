@@ -17,7 +17,6 @@ from .data import (
     AttributeSpec,
     Dataset,
     FoldPlan,
-    Instance,
     bootstrap_sample,
     parse_arff,
     parse_csv,

@@ -288,16 +288,18 @@ def parse_config(text: str) -> ExperimentConfig:
             if bad:
                 raise ConfigError(lineno, f"unknown dataset option {bad.pop()!r}")
             try:
-                datasets.append(
-                    DatasetRef(
-                        path=parts[0],
-                        format=tokens.get("format", ""),
-                        class_col=int(tokens.get("class_col", "-1")),
-                        header=_parse_bool(tokens.get("header", "false"), lineno),
-                    )
+                ref = DatasetRef(
+                    path=parts[0],
+                    format=tokens.get("format", ""),
+                    class_col=int(tokens.get("class_col", "-1")),
+                    header=_parse_bool(tokens.get("header", "false"), lineno),
                 )
             except ValueError as exc:
                 raise ConfigError(lineno, str(exc)) from None
+            csv_only = sorted({"class_col", "header"} & set(tokens))
+            if ref.format != "csv" and csv_only:
+                raise ConfigError(lineno, f"dataset option {csv_only[0]!r} applies to csv only")
+            datasets.append(ref)
             entry_lines["dataset"].append(lineno)
         elif key == "method":
             methods.append(_method_from_tokens(_parse_tokens(value, lineno), lineno))
@@ -516,8 +518,7 @@ def _cmd_train(args) -> int:
     [(_, d)] = _load_data_args([args.data])
     method = _method_from_tokens(_parse_tokens(args.method, 0), 0)
     model = method.make_builder()(d, args.seed)
-    text = model.to_model_text() if hasattr(model, "to_model_text") else model.to_text()
-    _emit([text.rstrip("\n")], args.out)
+    _emit([model.to_model_text().rstrip("\n")], args.out)
     return 0
 
 

@@ -85,15 +85,6 @@ class AttributeSpec:
         return self.values is not None
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A single row: raw value vector (aligned with the attribute list)
-    plus a positive weight."""
-
-    values: np.ndarray
-    weight: float = 1.0
-
-
 class FeatureEncoder:
     """The attribute layout of a dataset and of every dataset derived from
     it: the numeric feature columns, the nominal ones with their value
@@ -277,9 +268,6 @@ class Dataset:
 
     def classes_present(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.class_counts() > 0).tolist())
-
-    def instance(self, i: int) -> Instance:
-        return Instance(self.values[i], float(self.weights[i]))
 
     def __len__(self) -> int:
         return self.n_instances

@@ -20,7 +20,6 @@ import numpy as np
 from .data import Dataset
 from .errors import NDError, TrainingError
 from .learners import ConstantModel, LearnerParams, fit_binary_model
-from .learners.base import _as_rows
 from .seeds import node_rng
 from .selection import SubsetSelector
 
@@ -53,21 +52,16 @@ class NDNode:
 
 
 class MultiClassModel:
-    """Class picks and single-row predictions, all derived from the
-    subclass's ``predict_distribution_batch``; argmax ties go to the
-    lowest class index."""
+    """Class picks derived from the subclass's
+    ``predict_distribution_batch``; argmax ties go to the lowest class
+    index.  Both methods take one row or a 2-D array of rows and return
+    one result per row."""
 
     def predict_distribution_batch(self, rows) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_distribution(self, x) -> np.ndarray:
-        return self.predict_distribution_batch(_as_rows(x))[0]
-
     def predict_class_batch(self, rows) -> np.ndarray:
         return np.argmax(self.predict_distribution_batch(rows), axis=1)
-
-    def predict_class(self, x) -> int:
-        return int(self.predict_class_batch(_as_rows(x))[0])
 
 
 class NestedDichotomy(MultiClassModel):

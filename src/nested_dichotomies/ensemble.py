@@ -33,12 +33,19 @@ from .selection import SubsetSelector
 
 ZERO_ERROR_VOTE = math.log(1e10)
 
+# ensemble kind -> how its members' predictions combine
+_COMBINERS = {
+    "random": "average_distribution",
+    "bagging": "average_distribution",
+    "adaboost": "weighted_vote",
+    "multiboost": "weighted_vote",
+}
+
 
 @dataclass(frozen=True)
 class EnsembleModel(MultiClassModel):
     members: tuple[NestedDichotomy, ...]
     member_weights: np.ndarray
-    combiner: str  # average_distribution | weighted_vote
     ensemble_kind: str  # random | bagging | adaboost | multiboost
 
     def __post_init__(self):
@@ -49,10 +56,15 @@ class EnsembleModel(MultiClassModel):
             raise ValueError("one weight per member required")
         if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("member weights must be finite, >= 0, not all zero")
-        if self.combiner not in ("average_distribution", "weighted_vote"):
-            raise ValueError(f"unknown combiner {self.combiner!r}")
+        if self.ensemble_kind not in _COMBINERS:
+            raise ValueError(f"unknown ensemble kind {self.ensemble_kind!r}")
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "member_weights", w)
+
+    @property
+    def combiner(self) -> str:
+        """``average_distribution`` or ``weighted_vote``, by the kind."""
+        return _COMBINERS[self.ensemble_kind]
 
     @property
     def n_classes(self) -> int:
@@ -72,15 +84,17 @@ class EnsembleModel(MultiClassModel):
             votes[np.arange(rows.shape[0]), picks] += wm
         return votes / w.sum()
 
-    def to_text(self) -> str:
+    def to_model_text(self) -> str:
+        """Line-oriented dump: a header, then per member its weight and
+        seed and its full :meth:`NestedDichotomy.to_model_text`."""
         lines = [
             f"ensemble {self.ensemble_kind} combiner={self.combiner} "
-            f"size={len(self.members)}"
+            f"size={len(self.members)}\n"
         ]
         for i, (member, w) in enumerate(zip(self.members, self.member_weights)):
-            lines.append(f"member {i} weight={w!r} seed={member.build_seed}")
-            lines.append(member.to_text().rstrip("\n"))
-        return "\n".join(lines) + "\n"
+            lines.append(f"member {i} weight={float(w)!r} seed={member.build_seed}\n")
+            lines.append(member.to_model_text())
+        return "".join(lines)
 
 
 def build_random_ensemble(
@@ -98,7 +112,7 @@ def build_random_ensemble(
         build_nd(d, strategy, learner, child_seed(seed, i), class_ids=class_ids)
         for i in range(size)
     ]
-    return EnsembleModel(tuple(members), np.ones(size), "average_distribution", "random")
+    return EnsembleModel(tuple(members), np.ones(size), "random")
 
 
 def build_bagged_ensemble(
@@ -119,7 +133,7 @@ def build_bagged_ensemble(
         members.append(
             build_nd(sample, strategy, learner, child_seed(seed, i, 0), class_ids=class_ids)
         )
-    return EnsembleModel(tuple(members), np.ones(size), "average_distribution", "bagging")
+    return EnsembleModel(tuple(members), np.ones(size), "bagging")
 
 
 def _boosted(
@@ -184,7 +198,7 @@ def _boosted(
         raise AllMembersRejected(
             f"no usable member in {max_attempts} boosting attempts"
         )
-    return EnsembleModel(tuple(members), np.asarray(votes), "weighted_vote", kind)
+    return EnsembleModel(tuple(members), np.asarray(votes), kind)
 
 
 def _wagging_weights(n: int, rng: np.random.Generator) -> np.ndarray:

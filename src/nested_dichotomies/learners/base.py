@@ -8,7 +8,7 @@ import operator
 
 import numpy as np
 
-from ..data import Dataset, FeatureEncoder, Instance
+from ..data import Dataset, FeatureEncoder
 from ..errors import InvalidParam, SingleClass
 
 
@@ -26,13 +26,6 @@ def check_count(field: str, value, minimum: int) -> None:
         raise InvalidParam(field, f"must be >= {minimum}")
 
 
-def _as_rows(x) -> np.ndarray:
-    """Accept an Instance, a 1-D value vector, or a stack of rows."""
-    if isinstance(x, Instance):
-        x = x.values
-    return np.atleast_2d(np.asarray(x, dtype=np.float64))
-
-
 class BinaryModel:
     """A trained two-class model exposing P(first class | x).
 
@@ -46,10 +39,8 @@ class BinaryModel:
     class_pair: tuple[int, int] = (0, 1)
 
     def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
+        """P(first class) for each of ``rows``: one row or a 2-D array."""
         raise NotImplementedError
-
-    def predict_prob(self, x) -> float:
-        return float(self.predict_prob_batch(_as_rows(x))[0])
 
     def to_lines(self) -> list[str]:
         raise NotImplementedError

@@ -147,16 +147,16 @@ def penalized_nll_grad(beta, X, target, sample_weights, ridge) -> np.ndarray:
 class LogisticModel(BinaryModel):
     kind = "logistic"
 
-    def __init__(self, weights, intercept, encoder, class_pair, iterations, converged):
+    def __init__(self, weights, intercept, layout, class_pair, iterations, converged):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.intercept = float(intercept)
-        self.encoder = encoder
+        self.layout = layout
         self.class_pair = tuple(class_pair)
         self.iterations = int(iterations)
         self.converged = bool(converged)
 
     def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
-        X = self.encoder.encode(rows)
+        X = self.layout.encode(rows)
         return _sigmoid(X @ self.weights + self.intercept)
 
     def to_lines(self) -> list[str]:
@@ -167,7 +167,7 @@ class LogisticModel(BinaryModel):
         ]
         lines += [
             f"w {name} {w!r}"
-            for name, w in zip(self.encoder.feature_names, self.weights)
+            for name, w in zip(self.layout.feature_names, self.weights)
         ]
         return lines
 

@@ -28,6 +28,7 @@ import numpy as np
 from .data import Dataset
 from .errors import InvalidParam
 from .learners import LearnerParams, fit_binary_model
+from .learners.base import check_count
 from .seeds import rng_from
 
 
@@ -167,7 +168,11 @@ def assign_by_pair(
     to ``cap`` per class), classifies every other class's instances with
     it, and sends each class to the side winning strictly more votes.  A
     vote tie goes to the currently smaller side, then to c1's side.
+    Raises :class:`InvalidParam` before any fit unless ``cap`` is None or
+    an integer of at least 1.
     """
+    if cap is not None:
+        check_count("cap", cap, 1)
     ids = sorted(class_ids)
     pair_data = _subsample_pair_rows(d, c1, c2, cap, subsample_rng or rng_from(0))
     model = fit_binary_model(pair_data.relabel_binary({c1}), learner)
@@ -238,8 +243,8 @@ class SubsetSelector:
             raise ValueError(f"unknown strategy {self.strategy_id!r}")
         if self.subsample_cap is not None and self.strategy_id != "random_pair":
             raise InvalidParam("subsample_cap", "applies only to strategy random_pair")
-        if self.subsample_cap is not None and self.subsample_cap < 1:
-            raise InvalidParam("subsample_cap", "must be >= 1")
+        if self.subsample_cap is not None:
+            check_count("subsample_cap", self.subsample_cap, 1)
 
     def select(
         self,

@@ -85,7 +85,7 @@ def test_criterion_03_product_rule_exactness():
         c = int(rng.integers(2, 10))
         root = random_stub_tree(rng, list(range(c)))
         nd = NestedDichotomy(root, tuple(f"k{i}" for i in range(c)), 0, "stub")
-        dist = nd.predict_distribution(np.zeros(3))
+        [dist] = nd.predict_distribution_batch(np.zeros(3))
         worst_sum = max(worst_sum, abs(dist.sum() - 1.0))
         worst_diff = max(
             worst_diff, np.max(np.abs(dist - brute_force_distribution(root, c)))

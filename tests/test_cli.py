@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,12 @@ from nested_dichotomies.cli import (
     parse_config,
     run_experiment,
 )
-from nested_dichotomies.data import serialize_arff, stratified_folds
+from nested_dichotomies.data import parse_arff, serialize_arff, stratified_folds
 from nested_dichotomies.dichotomy import build_nd
+from nested_dichotomies.ensemble import build_adaboost_ensemble, build_bagged_ensemble
 from nested_dichotomies.errors import ConfigError
 from nested_dichotomies.evaluation import run_cv
-from nested_dichotomies.learners import LogisticParams
+from nested_dichotomies.learners import LogisticParams, TreeParams
 from nested_dichotomies.seeds import child_seed
 from nested_dichotomies.selection import SubsetSelector
 
@@ -191,6 +194,35 @@ def test_cli_train_dumps_model(blob_arff, capsys):
     out = capsys.readouterr().out
     assert out.startswith("nested_dichotomy strategy=random_pair")
     assert "logistic" in out
+
+
+@pytest.mark.parametrize(
+    "kind, build", [("adaboost", build_adaboost_ensemble), ("bagging", build_bagged_ensemble)]
+)
+def test_cli_train_dumps_every_member_model(kind, build, capsys):
+    zoo = DATASETS_DIR / "zoo.arff"
+    method = f"name=m ensemble={kind} size=2 learner=tree"
+    assert main(["train", "--data", str(zoo), "--method", method]) == 0
+    out = capsys.readouterr().out
+    member_lines = [line for line in out.splitlines() if line.startswith("member ")]
+    assert len(member_lines) == 2
+    # weights print as plain floats, not as numpy scalar reprs
+    assert all(re.fullmatch(r"member \d weight=[\d.e+-]+ seed=\d+", line)
+               for line in member_lines)
+    model = build(parse_arff(zoo.read_text()), SubsetSelector(), TreeParams(), 2, 0)
+    assert out == f"ensemble {kind} combiner={model.combiner} size=2\n" + "".join(
+        f"member {i} weight={float(w)!r} seed={member.build_seed}\n" + member.to_model_text()
+        for i, (member, w) in enumerate(zip(model.members, model.member_weights))
+    )
+
+
+def test_cli_train_dump_of_one_nd_is_its_model_text(capsys):
+    zoo = DATASETS_DIR / "zoo.arff"
+    assert main(["train", "--data", str(zoo), "--seed", "3", "--method",
+                 "name=m learner=tree"]) == 0
+    d = parse_arff(zoo.read_text())
+    want = build_nd(d, SubsetSelector(), TreeParams(), 3).to_model_text()
+    assert capsys.readouterr().out == want
 
 
 def test_cli_train_has_no_cap_flag(blob_arff, capsys):
@@ -394,10 +426,37 @@ def test_unknown_dataset_format_is_a_config_error(tmp_path, capsys, dataset, fmt
 
 
 @pytest.mark.parametrize(
+    "options, option",
+    [
+        ("class_col=0 header=true", "class_col"),
+        ("header=false", "header"),
+        ("format=arff class_col=-1", "class_col"),
+    ],
+    ids=["class_col-header", "header", "class_col-format-arff"],
+)
+def test_csv_only_option_on_an_arff_dataset_is_a_config_error(tmp_path, capsys, options, option):
+    out = tmp_path / "out"
+    zoo = DATASETS_DIR / "zoo.arff"
+    text = config_text(tmp_path / "tiny.csv", out).replace(
+        "k = 2", f"dataset = {zoo} {options}\nk = 2"
+    )
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if "zoo" in row)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: config line {line}: dataset option {option!r} applies to csv only\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "dataset, fmt",
     [
         ("zoo.arff format=ARFF", "arff"),
-        ("tiny.csv format=Csv", "csv"),
+        ("tiny.csv format=Csv class_col=2", "csv"),
         ("zoo.ARFF", "arff"),
     ],
     ids=["format-ARFF", "format-Csv", "ARFF-extension"],
@@ -407,7 +466,7 @@ def test_dataset_format_case_is_ignored(tmp_path, dataset, fmt):
     (tmp_path / "zoo.arff").write_text((DATASETS_DIR / "zoo.arff").read_text())
     (tmp_path / "zoo.ARFF").write_text((DATASETS_DIR / "zoo.arff").read_text())
     (tmp_path / "tiny.csv").write_text(TINY_CSV)
-    text = f"dataset = {tmp_path / dataset} class_col=2\nmethod = name=nd\n"
+    text = f"dataset = {tmp_path / dataset}\nmethod = name=nd\n"
     ref = parse_config(text).datasets[0]
     assert ref.format == fmt
     assert ref.load().n_instances == (101 if fmt == "arff" else 16)

@@ -12,6 +12,7 @@ from nested_dichotomies.combinatorics import (
     p_fit,
     space_table,
 )
+from nested_dichotomies.errors import InvalidParam
 from nested_dichotomies.learners import LogisticParams, TreeParams
 from nested_dichotomies.selection import SubsetSelector
 
@@ -127,6 +128,17 @@ def test_census_needs_three_classes():
     d = four_cluster_data(seed=4)
     with pytest.raises(ValueError):
         enumerate_splits(d, [0, 1], LogisticParams())
+
+
+@pytest.mark.parametrize(
+    "cap, requirement",
+    [(2.5, "must be an integer"), (True, "must be an integer"), (3.0, "must be an integer"),
+     (0, "must be >= 1"), (-1, "must be >= 1")],
+)
+def test_census_cap_must_be_a_positive_integer(zoo, cap, requirement):
+    with pytest.raises(InvalidParam) as err:
+        enumerate_splits(zoo, zoo.classes_present(), LogisticParams(), cap=cap)
+    assert (err.value.field, err.value.requirement) == ("cap", requirement)
 
 
 def test_proportions_class_balanced_even_sizes():

@@ -25,9 +25,6 @@ class StubModel:
     def predict_prob_batch(self, rows):
         return np.full(np.atleast_2d(rows).shape[0], self.p_first)
 
-    def predict_prob(self, x):
-        return self.p_first
-
 
 def leaf(c):
     return NDNode((c,))
@@ -94,7 +91,7 @@ def test_fig_shape_product_rule():
         ),
     )
     nd = NestedDichotomy(root, ("c1", "c2", "c3", "c4"), 0, "stub")
-    dist = nd.predict_distribution(np.zeros(5))
+    [dist] = nd.predict_distribution_batch(np.zeros(5))
     np.testing.assert_allclose(dist, [0.6, 0.05, 0.2, 0.15], atol=1e-15)
 
 
@@ -106,7 +103,7 @@ def test_all_half_probabilities_uniform():
         NDNode((2, 3), StubModel(0.5), leaf(2), leaf(3)),
     )
     nd = NestedDichotomy(root, tuple("abcd"), 0, "stub")
-    np.testing.assert_allclose(nd.predict_distribution(np.zeros(3)), [0.25] * 4)
+    np.testing.assert_allclose(nd.predict_distribution_batch(np.zeros(3)), [[0.25] * 4])
 
 
 def random_stub_tree(rng, class_ids):
@@ -143,7 +140,7 @@ def test_distribution_sums_to_one_and_matches_brute_force():
         c = int(rng.integers(2, 9))
         root = random_stub_tree(rng, list(range(c)))
         nd = NestedDichotomy(root, tuple(f"k{i}" for i in range(c)), 0, "stub")
-        dist = nd.predict_distribution(np.zeros(4))
+        [dist] = nd.predict_distribution_batch(np.zeros(4))
         assert abs(dist.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(dist, brute_force_distribution(root, c), atol=1e-12)
 
@@ -173,11 +170,11 @@ def test_built_tree_distributions_are_probability_vectors(data, strategy, tree, 
 def test_predict_class_is_argmax_with_low_tie():
     root = NDNode((0, 1), StubModel(0.5), leaf(0), leaf(1))
     nd = NestedDichotomy(root, ("a", "b"), 0, "stub")
-    assert nd.predict_class(np.zeros(2)) == 0  # exact tie: lowest index
+    assert nd.predict_class_batch(np.zeros(2)).tolist() == [0]  # exact tie: lowest index
 
     root2 = NDNode((0, 1), StubModel(0.4), leaf(0), leaf(1))
     nd2 = NestedDichotomy(root2, ("a", "b"), 0, "stub")
-    assert nd2.predict_class(np.zeros(2)) == 1
+    assert nd2.predict_class_batch(np.zeros(2)).tolist() == [1]
 
 
 def test_predict_class_agrees_with_distribution():
@@ -240,7 +237,7 @@ def test_missing_class_keeps_total_structure():
                 if node.is_leaf
             )
             assert leaves == list(range(6))
-            dist = nd.predict_distribution(d.instance(0))
+            [dist] = nd.predict_distribution_batch(d.values[:1])
             assert abs(dist.sum() - 1.0) < 1e-9
             break
     else:
@@ -467,14 +464,14 @@ def test_prediction_rejects_non_finite_and_undeclared_values(name, column, bad, 
     d = load_uci(name)
     nd = _uci_nd(name, learner)
     row = d.values[0].copy()
-    want = nd.predict_distribution(row)
+    want = nd.predict_distribution_batch(row)
     row[d.class_attribute] = np.nan  # the class column is not checked
-    assert nd.predict_distribution(row).tobytes() == want.tobytes()
+    assert nd.predict_distribution_batch(row).tobytes() == want.tobytes()
     row[column] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(EncodingMismatch, match=f"column {column}"):
-            nd.predict_distribution(row)
+            nd.predict_distribution_batch(row)
         with pytest.raises(EncodingMismatch, match=f"column {column}"):
             nd.predict_distribution_batch(np.vstack([d.values[:3], row]))
 
@@ -484,7 +481,7 @@ def test_node_models_share_the_parsed_datasets_layout(zoo):
     tree = build_nd(zoo, SubsetSelector("random_pair"), TreeParams(), 3)
     nodes = list(logistic.internal_nodes())
     assert len(nodes) == zoo.n_classes - 1
-    assert all(node.model.encoder is zoo.layout for node in nodes)
+    assert all(node.model.layout is zoo.layout for node in nodes)
     assert all(node.model.layout is zoo.layout for node in tree.internal_nodes())
 
 
@@ -518,13 +515,13 @@ def test_constant_models_check_rows_as_every_learner_does(zoo):
     nd = build_nd(zoo, SubsetSelector("random"), LogisticParams(), 0, structure_only=True)
     assert all(isinstance(node.model, ConstantModel) for node in nd.internal_nodes())
     row = zoo.values[0].copy()
-    assert nd.predict_distribution(row).sum() == pytest.approx(1.0)
+    assert nd.predict_distribution_batch(row).sum() == pytest.approx(1.0)
     row[1] = np.nan
     with pytest.raises(EncodingMismatch, match="non-finite value in column 1"):
-        nd.predict_distribution(row)
+        nd.predict_distribution_batch(row)
     # the model of a one-sided node
     model = ConstantModel(0.25, zoo.layout)
-    assert model.predict_prob(zoo.values[0]) == 0.25
+    assert model.predict_prob_batch(zoo.values[0]).tolist() == [0.25]
     bad = zoo.values[:2].copy()
     bad[1, 0] = 100.0  # "animal" has value indices 0-99
     with pytest.raises(EncodingMismatch, match="undeclared nominal value in column 0"):

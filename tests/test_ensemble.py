@@ -221,21 +221,19 @@ def stub_nd(p_first):
 
 
 def test_average_combiner_opposite_members():
-    e = EnsembleModel(
-        (stub_nd(1.0), stub_nd(0.0)), np.ones(2), "average_distribution", "random"
-    )
-    dist, picked = e.predict_distribution(np.zeros(1)), e.predict_class(np.zeros(1))
-    np.testing.assert_allclose(dist, [0.5, 0.5])
-    assert picked == 0  # tie goes to the lowest class index
+    e = EnsembleModel((stub_nd(1.0), stub_nd(0.0)), np.ones(2), "random")
+    assert e.combiner == "average_distribution"
+    dist, picked = e.predict_distribution_batch(np.zeros(1)), e.predict_class_batch(np.zeros(1))
+    np.testing.assert_allclose(dist, [[0.5, 0.5]])
+    assert picked.tolist() == [0]  # tie goes to the lowest class index
 
 
 def test_weighted_vote_majority_by_weight():
-    e = EnsembleModel(
-        (stub_nd(1.0), stub_nd(0.0)), np.array([2.0, 1.0]), "weighted_vote", "adaboost"
-    )
-    dist, picked = e.predict_distribution(np.zeros(1)), e.predict_class(np.zeros(1))
-    np.testing.assert_allclose(dist, [2 / 3, 1 / 3])
-    assert picked == 0
+    e = EnsembleModel((stub_nd(1.0), stub_nd(0.0)), np.array([2.0, 1.0]), "adaboost")
+    assert e.combiner == "weighted_vote"
+    dist, picked = e.predict_distribution_batch(np.zeros(1)), e.predict_class_batch(np.zeros(1))
+    np.testing.assert_allclose(dist, [[2 / 3, 1 / 3]])
+    assert picked.tolist() == [0]
 
 
 def test_fuzzed_ensembles_sum_to_one():
@@ -244,25 +242,36 @@ def test_fuzzed_ensembles_sum_to_one():
         k = int(rng.integers(1, 6))
         members = tuple(stub_nd(float(rng.random())) for _ in range(k))
         weights = rng.uniform(0.1, 3.0, size=k)
-        combiner = "average_distribution" if rng.random() < 0.5 else "weighted_vote"
-        e = EnsembleModel(members, weights, combiner, "random")
+        # the kind picks the combiner: averaging or weighted voting
+        kind = ("random", "bagging", "adaboost", "multiboost")[int(rng.integers(4))]
+        e = EnsembleModel(members, weights, kind)
         dist = e.predict_distribution_batch(np.zeros((3, 1)))
         np.testing.assert_allclose(dist.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_ensemble_weight_validation():
     with pytest.raises(ValueError):
-        EnsembleModel((stub_nd(0.5),), np.array([0.0]), "weighted_vote", "adaboost")
+        EnsembleModel((stub_nd(0.5),), np.array([0.0]), "adaboost")
     with pytest.raises(ValueError):
-        EnsembleModel((stub_nd(0.5),), np.array([1.0, 2.0]), "weighted_vote", "adaboost")
+        EnsembleModel((stub_nd(0.5),), np.array([1.0, 2.0]), "adaboost")
+
+
+@pytest.mark.parametrize("kind", ["none", "boosting", "weighted_vote", ""])
+def test_ensemble_rejects_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match="unknown ensemble kind"):
+        EnsembleModel((stub_nd(0.5),), np.ones(1), kind)
 
 
 def test_ensemble_text_dump():
     d = blob_data(seed=13)
     e = build_bagged_ensemble(d, SubsetSelector("random"), FAST_TREE, 3, seed=21)
-    text = e.to_text()
-    assert text.startswith("ensemble bagging")
-    assert text.count("member ") == 3
+    text = e.to_model_text()
+    lines = text.splitlines()
+    assert lines[0] == "ensemble bagging combiner=average_distribution size=3"
+    assert text == lines[0] + "\n" + "".join(
+        f"member {i} weight=1.0 seed={m.build_seed}\n" + m.to_model_text()
+        for i, m in enumerate(e.members)
+    )
 
 
 def test_bagged_build_builds_no_layout_beyond_the_parsed_one(layouts_built):

@@ -63,14 +63,15 @@ def test_separable_probabilities():
     d = simple_dataset([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0], [0, 0, 0, 1, 1, 1])
     m = fit_logistic(d)
     # model reports P(first class) = P(a); b at x=+1 must dominate
-    p_b = 1.0 - m.predict_prob(np.array([1.0, 0.0]))
+    [p_a] = m.predict_prob_batch(np.array([1.0, 0.0]))
+    p_b = 1.0 - p_a
     assert p_b > 0.99
 
 
 def test_contradictory_point_gives_half():
     d = simple_dataset([2.0, 2.0], [0, 1])
     m = fit_logistic(d)
-    assert m.predict_prob(np.array([2.0, 0.0])) == pytest.approx(0.5, abs=1e-9)
+    assert m.predict_prob_batch(np.array([2.0, 0.0])) == pytest.approx([0.5], abs=1e-9)
 
 
 def test_gradient_small_at_optimum():
@@ -78,7 +79,7 @@ def test_gradient_small_at_optimum():
     for trial in range(10):
         d = gaussian_dataset(rng.normal(size=(2, 3)), per_class=15, seed=trial)
         m = fit_logistic(d, LogisticParams(ridge=1e-4))
-        X = m.encoder.encode(d.values)
+        X = m.layout.encode(d.values)
         t = (d.class_indices() == 0).astype(float)
         beta = np.concatenate(([m.intercept], m.weights))
         g = penalized_nll_grad(beta, X, t, d.weights, 1e-4)
@@ -90,7 +91,7 @@ def test_objective_no_worse_than_zero_vector():
     for trial in range(5):
         d = gaussian_dataset(rng.normal(size=(2, 4)), per_class=10, seed=10 + trial)
         m = fit_logistic(d, LogisticParams(ridge=0.1))
-        X = m.encoder.encode(d.values)
+        X = m.layout.encode(d.values)
         t = (d.class_indices() == 0).astype(float)
         beta = np.concatenate(([m.intercept], m.weights))
         at_fit = penalized_nll(beta, X, t, d.weights, 0.1)
@@ -122,7 +123,7 @@ def test_did_not_converge_carries_partial_model():
         fit_logistic(d, LogisticParams(max_iterations=1, gradient_tolerance=1e-14))
     assert err.value.iterations == 1
     assert err.value.model is not None
-    p = err.value.model.predict_prob(d.instance(0))
+    [p] = err.value.model.predict_prob_batch(d.values[:1])
     assert 0.0 <= p <= 1.0
 
 
@@ -130,9 +131,9 @@ def test_zero_model_predicts_half_and_monotone():
     d = simple_dataset([-2.0, -1.0, 1.0, 2.0], [0, 0, 1, 1])
     m = fit_logistic(d)
     zeroed = type(m)(
-        np.zeros_like(m.weights), 0.0, m.encoder, m.class_pair, 0, True
+        np.zeros_like(m.weights), 0.0, m.layout, m.class_pair, 0, True
     )
-    assert zeroed.predict_prob(np.array([123.0, 0.0])) == 0.5
+    assert zeroed.predict_prob_batch(np.array([123.0, 0.0])).tolist() == [0.5]
     # w < 0 here (class a sits at negative x): P(a | x) decreases with x
     xs = np.column_stack([np.linspace(-3, 3, 9), np.zeros(9)])
     probs = m.predict_prob_batch(xs)
@@ -151,7 +152,8 @@ def test_one_hot_encoding_of_nominals():
     d = Dataset(attrs, values, 1)
     m = fit_logistic(d, LogisticParams(ridge=1e-4))
     assert m.weights.shape == (3,)
-    assert m.predict_prob(np.array([0.0, 0.0])) > 0.5  # color r always class x
+    [p] = m.predict_prob_batch(np.array([0.0, 0.0]))
+    assert p > 0.5  # color r always class x
 
 
 def test_encode_copies_numeric_runs_like_column_by_column():
@@ -186,13 +188,13 @@ def test_encoding_mismatch():
     d = simple_dataset([0.0, 1.0], [0, 1])
     m = fit_logistic(d)
     with pytest.raises(EncodingMismatch):
-        m.predict_prob(np.array([1.0, 2.0, 3.0]))
+        m.predict_prob_batch(np.array([1.0, 2.0, 3.0]))
 
 
 def test_probabilities_complement_exactly():
     d = gaussian_dataset(np.array([[0.0, 1.0], [1.5, -0.5]]), per_class=12, seed=5)
     m = fit_logistic(d)
-    p = m.predict_prob(d.instance(3))
+    [p] = m.predict_prob_batch(d.values[3])
     assert 0.0 <= p <= 1.0
     assert p + (1.0 - p) == 1.0
 

@@ -266,6 +266,37 @@ def test_cap_is_rejected_off_random_pair(strategy):
     assert SubsetSelector("random_pair", 5).subsample_cap == 5
 
 
+BAD_CAPS = [
+    (2.5, "must be an integer"),
+    (True, "must be an integer"),
+    (3.0, "must be an integer"),
+    (0, "must be >= 1"),
+    (-1, "must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("cap, requirement", BAD_CAPS)
+def test_selector_cap_must_be_a_positive_integer(cap, requirement):
+    with pytest.raises(InvalidParam) as err:
+        SubsetSelector("random_pair", cap)
+    assert (err.value.field, err.value.requirement) == ("subsample_cap", requirement)
+
+
+@pytest.mark.parametrize("cap, requirement", BAD_CAPS)
+def test_pair_assignment_checks_its_cap_before_any_fit(cap, requirement, monkeypatch):
+    d = four_cluster_data(seed=5)
+
+    def no_fit(*args):
+        raise AssertionError("fit before the cap check")
+
+    monkeypatch.setattr("nested_dichotomies.selection.fit_binary_model", no_fit)
+    with pytest.raises(InvalidParam) as err:
+        assign_by_pair([0, 1, 2, 3], d, LogisticParams(), 0, 1, cap)
+    assert (err.value.field, err.value.requirement) == ("cap", requirement)
+    with pytest.raises(InvalidParam, match=requirement):
+        select_random_pair([0, 1, 2, 3], d, LogisticParams(), np.random.default_rng(0), cap)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),

@@ -57,7 +57,7 @@ def test_constant_attributes_single_leaf():
     d = two_class([[7, 0], [7, 0], [7, 1], [7, 0]])
     m = fit_tree(d, TreeParams(min_instances_per_leaf=1, prune=False))
     assert isinstance(m.root, _Leaf)
-    assert m.predict_prob(np.array([7.0, 0.0])) == pytest.approx(0.75)
+    assert m.predict_prob_batch(np.array([7.0, 0.0])) == pytest.approx([0.75])
 
 
 @pytest.mark.parametrize("weights", [None, [1.0, 2.0, 0.5]], ids=["unit", "weighted"])
@@ -77,7 +77,7 @@ def test_leaf_frequency_probabilities():
 def test_contradictory_duplicates_leaf_half():
     d = two_class([[1, 0], [1, 1]])
     m = fit_tree(d, TreeParams(min_instances_per_leaf=1, prune=False))
-    assert m.predict_prob(np.array([1.0, 0.0])) == pytest.approx(0.5)
+    assert m.predict_prob_batch(np.array([1.0, 0.0])) == pytest.approx([0.5])
 
 
 def test_min_leaf_respected():
@@ -117,8 +117,7 @@ def test_nominal_value_vs_rest_split():
     assert isinstance(m.root, _Node)
     assert m.root.nominal
     assert m.root.threshold == 0.0  # category "r" vs rest separates perfectly
-    assert m.predict_prob(np.array([0.0, 0.0])) == 1.0
-    assert m.predict_prob(np.array([1.0, 0.0])) == 0.0
+    assert m.predict_prob_batch(np.array([[0.0, 0.0], [1.0, 0.0]])).tolist() == [1.0, 0.0]
 
 
 def test_threshold_is_midpoint_and_ties_prefer_low_attribute():
@@ -320,7 +319,7 @@ def test_tree_encoding_mismatch():
     d = simple_dataset([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1])
     m = fit_tree(d, TreeParams(min_instances_per_leaf=1, prune=False))
     with pytest.raises(EncodingMismatch):
-        m.predict_prob(np.array([1.0, 0.0, 5.0]))
+        m.predict_prob_batch(np.array([1.0, 0.0, 5.0]))
 
 
 def test_weighted_instances_change_leaf_frequencies():
@@ -328,7 +327,7 @@ def test_weighted_instances_change_leaf_frequencies():
     values = np.array([[0.0, 0.0], [0.0, 1.0]])
     d = Dataset(attrs, values, 1, weights=np.array([3.0, 1.0]))
     m = fit_tree(d, TreeParams(min_instances_per_leaf=1, prune=False))
-    assert m.predict_prob(np.array([0.0, 0.0])) == pytest.approx(0.75)
+    assert m.predict_prob_batch(np.array([0.0, 0.0])) == pytest.approx([0.75])
 
 
 # -- oracle: a per-attribute split search -----------------------------------
