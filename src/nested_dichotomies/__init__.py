@@ -20,7 +20,6 @@ from .data import (
     bootstrap_sample,
     parse_arff,
     parse_csv,
-    serialize_arff,
     stratified_folds,
     train_test_split,
     weighted_resample,

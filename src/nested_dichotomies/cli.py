@@ -35,6 +35,7 @@ from .ensemble import (
 from .errors import ConfigError, InvalidParam, NDError
 from .evaluation import CVResult, corrected_t, format_results_table, run_cv
 from .learners import LearnerParams, LogisticParams, TreeParams
+from .learners.base import check_count
 from .seeds import child_seed
 from .selection import STRATEGIES, SubsetSelector
 
@@ -102,8 +103,7 @@ class MethodSpec:
     def __post_init__(self):
         if self.ensemble_kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.ensemble_kind!r}")
-        if self.size < 1:
-            raise InvalidParam("size", "must be >= 1")
+        check_count("size", self.size, 1)
 
     def make_builder(self):
         def builder(train: Dataset, seed: int):

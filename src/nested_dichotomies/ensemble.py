@@ -28,6 +28,7 @@ from .data import Dataset, bootstrap_sample, weighted_resample
 from .errors import AllMembersRejected
 from .dichotomy import MultiClassModel, NestedDichotomy, build_nd
 from .learners import LearnerParams
+from .learners.base import check_count
 from .seeds import child_seed, rng_from
 from .selection import SubsetSelector
 
@@ -105,8 +106,7 @@ def build_random_ensemble(
     seed: int,
 ) -> EnsembleModel:
     """Members differ only in structure randomness; same training data."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    check_count("size", size, 1)
     class_ids = d.classes_present()
     members = [
         build_nd(d, strategy, learner, child_seed(seed, i), class_ids=class_ids)
@@ -124,8 +124,7 @@ def build_bagged_ensemble(
 ) -> EnsembleModel:
     """One bootstrap resample per member.  Members keep the full class set
     in their structure even when their resample dropped a class."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    check_count("size", size, 1)
     class_ids = d.classes_present()
     members = []
     for i in range(size):
@@ -153,8 +152,6 @@ def _boosted(
     AdaBoost).  ``observer(member, error, weights)`` is called after every
     multiplicative weight update with a copy of the updated weights.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
     n = d.n_instances
     class_ids = d.classes_present()
     y = d.class_indices()
@@ -216,6 +213,7 @@ def build_adaboost_ensemble(
     seed: int,
     observer=None,
 ) -> EnsembleModel:
+    check_count("size", size, 1)
     return _boosted(d, strategy, learner, size, seed, "adaboost", frozenset(), observer)
 
 
@@ -236,5 +234,6 @@ def build_multiboost_ensemble(
     seed: int,
     observer=None,
 ) -> EnsembleModel:
+    check_count("size", size, 1)
     inner = frozenset(b for b in multiboost_boundaries(size) if b < size)
     return _boosted(d, strategy, learner, size, seed, "multiboost", inner, observer)

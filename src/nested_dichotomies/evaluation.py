@@ -7,8 +7,9 @@ test statistic over the J = k * repeats per-run accuracy differences is
     t = mean(d) / sqrt((1/J + n2/n1) * var(d))
 
 with the idealized test/train size ratio n2/n1 = 1/(k-1) and the sample
-variance (n-1 denominator).  Significance is two-sided at alpha against
-the Student-t quantile with J-1 degrees of freedom.
+variance (n-1 denominator).  A result is significant when the two-sided
+Student-t tail probability of |t| with J-1 degrees of freedom is below
+alpha.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import t_critical
 from .data import Dataset, FoldPlan, train_test_split
 from .errors import MismatchedPlans, NDError
 from .seeds import child_seed
@@ -108,6 +108,27 @@ def run_cv(
     )
 
 
+def _two_sided_tail(t: float, df: int) -> float:
+    """P(|T| > t) for Student's t with integer ``df`` >= 1 and t >= 0:
+    one minus the finite series of Abramowitz & Stegun 26.7.3 (odd df)
+    and 26.7.4 (even df) in theta = atan(t / sqrt(df))."""
+    root_df = math.sqrt(df)
+    hyp2 = df + t * t
+    sin = t / math.sqrt(hyp2)
+    cos2 = df / hyp2
+    if df % 2:
+        term, total = root_df / math.sqrt(hyp2), 0.0
+        for k in range(1, (df - 1) // 2 + 1):  # cos, (2/3) cos^3, ... cos^(df-2)
+            total += term
+            term *= (2 * k) / (2 * k + 1) * cos2
+        return 1.0 - 2.0 / math.pi * (math.atan2(t, root_df) + sin * total)
+    term, total = 1.0, 0.0
+    for k in range(df // 2):  # 1, (1/2) cos^2, ... cos^(df-2)
+        total += term
+        term *= (2 * k + 1) / (2 * k + 2) * cos2
+    return 1.0 - sin * total
+
+
 @dataclass(frozen=True)
 class TTestOutcome:
     t: float
@@ -139,6 +160,8 @@ def corrected_t(
     mean difference reports significance with an infinite t sentinel and
     the ``zero_variance`` flag set.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if a.plan_fingerprint != b.plan_fingerprint:
         raise MismatchedPlans(
             f"fold plans differ: {a.plan_fingerprint} vs {b.plan_fingerprint}"
@@ -166,8 +189,7 @@ def corrected_t(
             **common,
         )
     t = mean / math.sqrt((1.0 / runs + ratio) * var)
-    critical = t_critical(runs - 1, alpha)
-    significant = abs(t) > critical
+    significant = _two_sided_tail(abs(t), runs - 1) < alpha
     direction = "none" if not significant else ("gain" if t > 0 else "loss")
     return TTestOutcome(t, significant, direction, **common)
 

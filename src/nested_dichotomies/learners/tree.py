@@ -75,7 +75,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .._special import ndtri
 from ..data import Dataset
 from ..errors import InvalidParam
 from .base import BinaryModel, binary_class_info, check_count
@@ -128,8 +127,12 @@ def _xlog2x(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _upper_z(cf: float) -> float:
-    """Normal deviate of the one-sided ``cf`` bound."""
-    return ndtri(1.0 - cf)
+    """Normal deviate of the one-sided ``cf`` bound: infinite where
+    ``1 - cf`` rounds to 1, which leaves the tree unpruned."""
+    from statistics import NormalDist  # loaded on first use, not with the package
+
+    p = 1.0 - cf
+    return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
 
 def add_errs(n: float, e: float, cf: float) -> float:

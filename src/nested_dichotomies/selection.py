@@ -214,7 +214,10 @@ def select_random_pair(
     that have instances in ``d``.  With two classes the unique split is
     returned without training anything, and when fewer than two classes of
     a larger set have instances the lowest class is split off from the
-    rest; neither draws from ``rng``."""
+    rest; neither draws from ``rng``.  ``cap`` is checked first, as
+    :func:`assign_by_pair` checks it, whichever split is returned."""
+    if cap is not None:
+        check_count("cap", cap, 1)
     ids = sorted(class_ids)
     if len(ids) < 2:
         raise ValueError("need at least 2 classes to split")

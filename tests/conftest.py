@@ -56,6 +56,39 @@ def simple_dataset(xs, labels, class_names=("a", "b")) -> Dataset:
     return Dataset(attrs, values, class_attribute=1)
 
 
+def _quote_if_needed(name: str) -> str:
+    """``name`` as an ARFF token: bare when it can be, else in whichever
+    quote character it does not contain."""
+    if name and not any(c in name for c in " ,{}%'\"\t"):
+        return name
+    quote = "'" if "'" not in name else '"'
+    if quote in name:
+        raise ValueError(f"cannot write {name!r} in ARFF: it holds both quote characters")
+    return quote + name + quote
+
+
+def serialize_arff(d: Dataset, relation: str = "dataset") -> str:
+    """Inverse of parse_arff on attribute structure and instance values."""
+    out = [f"@relation {_quote_if_needed(relation)}"]
+    for spec in d.attributes:
+        if spec.is_nominal:
+            vals = ",".join(_quote_if_needed(v) for v in spec.values)
+            out.append(f"@attribute {_quote_if_needed(spec.name)} {{{vals}}}")
+        else:
+            out.append(f"@attribute {_quote_if_needed(spec.name)} numeric")
+    out.append("@data")
+    for i in range(d.n_instances):
+        cells = []
+        for j, spec in enumerate(d.attributes):
+            v = d.values[i, j]
+            if spec.is_nominal:
+                cells.append(_quote_if_needed(spec.values[int(v)]))
+            else:
+                cells.append(repr(float(v)))
+        out.append(",".join(cells))
+    return "\n".join(out) + "\n"
+
+
 @st.composite
 def small_datasets(draw, class_ids, n_classes: int) -> Dataset:
     """1-5 rows of each class in ``class_ids`` (out of ``n_classes``

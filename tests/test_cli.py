@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import DATASETS_DIR, gaussian_dataset
+from conftest import DATASETS_DIR, gaussian_dataset, serialize_arff
 from nested_dichotomies.cli import (
     DatasetRef,
     ExperimentConfig,
@@ -12,7 +12,7 @@ from nested_dichotomies.cli import (
     parse_config,
     run_experiment,
 )
-from nested_dichotomies.data import parse_arff, serialize_arff, stratified_folds
+from nested_dichotomies.data import parse_arff, stratified_folds
 from nested_dichotomies.dichotomy import build_nd
 from nested_dichotomies.ensemble import build_adaboost_ensemble, build_bagged_ensemble
 from nested_dichotomies.errors import ConfigError

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import DATASETS_DIR, gaussian_dataset, load_uci
+from conftest import DATASETS_DIR, gaussian_dataset, load_uci, serialize_arff
 from nested_dichotomies.data import (
     AttributeSpec,
     Dataset,
@@ -13,7 +13,6 @@ from nested_dichotomies.data import (
     bootstrap_sample,
     parse_arff,
     parse_csv,
-    serialize_arff,
     stratified_folds,
     train_test_split,
     weighted_resample,

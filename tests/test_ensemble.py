@@ -15,7 +15,8 @@ from nested_dichotomies.ensemble import (
     multiboost_boundaries,
     _wagging_weights,
 )
-from nested_dichotomies.errors import AllMembersRejected
+from nested_dichotomies.cli import MethodSpec
+from nested_dichotomies.errors import AllMembersRejected, InvalidParam
 from nested_dichotomies.learners import LogisticParams, TreeParams
 from nested_dichotomies.selection import SubsetSelector
 from test_dichotomy import StubModel, leaf
@@ -28,6 +29,31 @@ def blob_data(n_classes=4, per_class=12, spread=0.5, seed=0, scale=4.0):
 
 
 FAST_TREE = TreeParams(min_instances_per_leaf=1, prune=False)
+
+
+def _build_with_size(build):
+    d = blob_data(seed=1)
+    return lambda size: build(d, SubsetSelector("random"), FAST_TREE, size, 5)
+
+
+SIZED = {
+    "random": _build_with_size(build_random_ensemble),
+    "bagging": _build_with_size(build_bagged_ensemble),
+    "adaboost": _build_with_size(build_adaboost_ensemble),
+    "multiboost": _build_with_size(build_multiboost_ensemble),
+    "method-spec": lambda size: MethodSpec("m", ensemble_kind="bagging", size=size),
+}
+
+
+@pytest.mark.parametrize(
+    "size, requirement",
+    [(2.5, "must be an integer"), (True, "must be an integer"), (0, "must be >= 1")],
+)
+@pytest.mark.parametrize("make", SIZED.values(), ids=SIZED.keys())
+def test_size_must_be_a_positive_integer(make, size, requirement):
+    with pytest.raises(InvalidParam) as err:
+        make(size)
+    assert (err.value.field, err.value.requirement) == ("size", requirement)
 
 
 def test_random_ensemble_size_one_equals_member():

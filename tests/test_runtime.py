@@ -17,7 +17,7 @@ SRC = ROOT / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # a pruned C4.5 reference (C4.5 pruning needs a normal deviate) and a second
-# method that the t-test compares with it (a Student-t critical value)
+# method that the t-test compares with it (a Student-t tail probability)
 EXPERIMENT = """
 dataset = {data}
 k = 2
@@ -70,6 +70,13 @@ def test_ndich_runs_without_scipy(tmp_path, capsys):
     csv = (blocked / "results.csv").read_text()
     assert csv == (inproc / "results.csv").read_text()
     assert csv.splitlines()[2].split(",")[4:6] != ["", ""]  # the t-test ran
+
+
+def test_package_import_leaves_statistics_out():
+    # the normal deviate's module loads only when a C4.5 tree is pruned
+    check = "import sys, nested_dichotomies; assert 'statistics' not in sys.modules"
+    proc = _run(["-c", check], [])
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")

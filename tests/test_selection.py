@@ -293,8 +293,13 @@ def test_pair_assignment_checks_its_cap_before_any_fit(cap, requirement, monkeyp
     with pytest.raises(InvalidParam) as err:
         assign_by_pair([0, 1, 2, 3], d, LogisticParams(), 0, 1, cap)
     assert (err.value.field, err.value.requirement) == ("cap", requirement)
-    with pytest.raises(InvalidParam, match=requirement):
-        select_random_pair([0, 1, 2, 3], d, LogisticParams(), np.random.default_rng(0), cap)
+    # the cap is checked whichever split comes back: the unique split of
+    # two classes, the lowest class off when fewer than two have instances,
+    # and a trained pair's split
+    only_zero = d.restrict_to_classes([0])
+    for class_ids, data in [([0, 1], d), ([0, 1, 2], only_zero), ([0, 1, 2, 3], d)]:
+        with pytest.raises(InvalidParam, match=requirement):
+            select_random_pair(class_ids, data, LogisticParams(), np.random.default_rng(0), cap)
 
 
 @settings(max_examples=150, deadline=None)
