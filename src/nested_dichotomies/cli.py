@@ -15,7 +15,6 @@ import argparse
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -365,7 +364,9 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Evaluate every method on every dataset over one shared fold plan
     per dataset, then write the results table, the machine-readable
-    results file, and the per-run timing file."""
+    results file, and the per-run timing file.  Cells run in config order
+    on the calling thread, and a failed cell does not stop the rest.
+    ``cfg.jobs`` is checked but unused: threads only contend for the GIL."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(exit_code=0)
@@ -387,16 +388,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ref_index = [m.name for m in cfg.methods].index(cfg.reference)
     results: dict[tuple[str, str], CVResult] = {}
 
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = [
-            pool.submit(run_cv, d, m.make_builder(), plan, ref.dataset_id, m.name)
-            for ref, d, plan, m in cells
-        ]
-        for (ref, _, _, method), fut in zip(cells, futures):
-            try:
-                results[(ref.dataset_id, method.name)] = fut.result()
-            except Exception as exc:
-                report.failures.append(f"{ref.dataset_id}/{method.name}: {exc}")
+    for ref, d, plan, method in cells:
+        try:
+            results[(ref.dataset_id, method.name)] = run_cv(
+                d, method.make_builder(), plan, ref.dataset_id, method.name
+            )
+        except Exception as exc:
+            report.failures.append(f"{ref.dataset_id}/{method.name}: {exc}")
 
     _write_outputs(cfg, loaded, results, ref_index, out_dir, report)
     if report.failures:
@@ -561,7 +559,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int,
+                   help=">= 1, but unused: cells run in order, as threads contend for the GIL")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("space", help="tree-space size table")

@@ -93,6 +93,8 @@ class TreeParams:
         check_count("min_instances_per_leaf", self.min_instances_per_leaf, 1)
         if not 0.0 < self.pruning_confidence <= 0.5:
             raise InvalidParam("pruning_confidence", "must be in (0, 0.5]")
+        if 1.0 - self.pruning_confidence == 1.0:
+            raise InvalidParam("pruning_confidence", "must exceed 2**-54 (1 - cf rounds to 1)")
 
 
 class _Node:
@@ -127,12 +129,10 @@ def _xlog2x(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _upper_z(cf: float) -> float:
-    """Normal deviate of the one-sided ``cf`` bound: infinite where
-    ``1 - cf`` rounds to 1, which leaves the tree unpruned."""
+    """Normal deviate of the one-sided ``cf`` bound."""
     from statistics import NormalDist  # loaded on first use, not with the package
 
-    p = 1.0 - cf
-    return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
+    return NormalDist().inv_cdf(1.0 - cf)
 
 
 def add_errs(n: float, e: float, cf: float) -> float:

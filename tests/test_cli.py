@@ -1,4 +1,5 @@
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -331,6 +332,7 @@ def test_cli_value_below_one_exit_two(
         ("method = name=m learner=tree min_leaf=2.5", "bad value for min_leaf", False),
         ("method = name=m learner=tree cf=0", "cf must be in (0, 0.5]", False),
         ("method = name=m learner=tree cf=0.9", "cf must be in (0, 0.5]", False),
+        ("method = name=m learner=tree cf=1e-20", "cf must exceed 2**-54", False),
         ("method = name=m learner=logistic min_leaf=7 cf=0.4",
          "'min_leaf' is a tree option, not a logistic one", False),
         ("method = name=m learner=tree ridge=1", "'ridge' is a logistic option, not a tree one", False),
@@ -349,6 +351,7 @@ def test_cli_value_below_one_exit_two(
     ids=[
         "jobs", "subsample_cap", "reference", "duplicate-method",
         "ridge", "tol", "tol-nan", "max_iter", "min_leaf", "min_leaf-float", "cf-zero", "cf-high",
+        "cf-tiny",
         "tree-option-on-logistic", "ridge-on-tree", "ridge-inf", "tol-inf", "cap",
         "cap-on-random", "size",
         "seed", "k-one", "k-zero", "repeats", "duplicate-seed",
@@ -531,6 +534,75 @@ def test_parallel_jobs_match_serial(tiny_dataset_file, tmp_path):
     run_experiment(parse_config(config_text(tiny_dataset_file, out1)))
     run_experiment(parse_config(config_text(tiny_dataset_file, out2, "jobs = 4")))
     assert (out1 / "results.csv").read_text() == (out2 / "results.csv").read_text()
+
+
+def wrap_builders(monkeypatch, wrap):
+    """Make every method's builder ``wrap(method, builder)``."""
+    make_builder = MethodSpec.make_builder
+    monkeypatch.setattr(
+        MethodSpec, "make_builder", lambda self: wrap(self, make_builder(self))
+    )
+
+
+def test_cells_run_on_the_calling_thread(tiny_dataset_file, tmp_path, monkeypatch):
+    threads = []
+
+    def wrap(method, builder):
+        def recording(train, seed):
+            threads.append(threading.get_ident())
+            return builder(train, seed)
+
+        return recording
+
+    wrap_builders(monkeypatch, wrap)
+    cfg = parse_config(config_text(tiny_dataset_file, tmp_path / "out", "jobs = 4"))
+    assert run_experiment(cfg).exit_code == 0
+    assert threads == [threading.get_ident()] * 4  # 2 methods x 2 folds
+
+
+def test_outputs_are_byte_identical_for_any_jobs(tiny_dataset_file, tmp_path):
+    def outputs(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        text = config_text(tiny_dataset_file, out, f"jobs = {jobs}").replace(
+            "k = 2", f"dataset = {DATASETS_DIR / 'zoo.arff'}\nk = 2"
+        )
+        assert run_experiment(parse_config(text)).exit_code == 0
+        timing = (out / "timing.csv").read_text().splitlines()
+        # train_ms is a measurement; the columns that key it are not
+        keys = [line.rsplit(",", 1)[0] for line in timing]
+        return (out / "results.csv").read_bytes(), keys
+
+    serial = outputs(1)
+    assert len(serial[1]) == 1 + 2 * 2 * 2  # header + 2 datasets x 2 methods x 2 runs
+    assert outputs(2) == serial
+    assert outputs(4) == serial
+
+
+def test_failed_method_leaves_the_others_written(
+    tiny_dataset_file, tmp_path, monkeypatch, capsys
+):
+    def wrap(method, builder):
+        if method.name != "rpnd":
+            return builder
+
+        def failing(train, seed):
+            raise RuntimeError("boom")
+
+        return failing
+
+    wrap_builders(monkeypatch, wrap)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_text(tiny_dataset_file, out))
+    # rpnd is the first cell, so nd runs after it failed
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: tiny/rpnd: repeat 0 fold 0: boom\n"
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["tiny", "nd"]]
+    timing = (out / "timing.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in timing] == [
+        ["tiny", "nd", "0", "0"], ["tiny", "nd", "0", "1"]
+    ]
 
 
 def test_zoo_single_rpnd_logistic_accuracy_band(tmp_path):

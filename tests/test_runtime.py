@@ -103,3 +103,10 @@ def test_readme_python_example_runs(monkeypatch, capsys):
     exec(compile(example, str(readme), "exec"), {})
     mean, std = map(float, capsys.readouterr().out.split())
     assert 0.7 < mean <= 1.0 and 0.0 < std < 0.2
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    # experiment cells run on the calling thread, so no executor is loaded
+    check = "import sys, nested_dichotomies.cli; assert 'concurrent.futures' not in sys.modules"
+    proc = _run(["-c", check], [])
+    assert proc.returncode == 0, proc.stderr

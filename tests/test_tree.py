@@ -298,16 +298,23 @@ def test_upper_z_within_8_ulp_of_scipy():
     assert ulps.max() <= 8, (ulps.max(), grid[ulps.argmax()])
 
 
-def test_upper_z_is_infinite_where_one_minus_cf_rounds_to_one():
-    assert 1.0 - 1e-20 == 1.0
-    assert _upper_z(1e-20) == math.inf
+@pytest.mark.parametrize("cf", [5e-17, 1e-20])
+def test_confidence_where_one_minus_cf_rounds_to_one_is_rejected(cf):
+    # the bound's deviate is infinite there, which would stop pruning just
+    # where a smaller cf asks for more of it
+    assert 1.0 - cf == 1.0
+    with pytest.raises(InvalidParam) as err:
+        TreeParams(pruning_confidence=cf)
+    assert err.value.field == "pruning_confidence"
 
 
-def test_vanishing_confidence_leaves_the_tree_unpruned(glass):
+def test_tiny_accepted_confidence_still_prunes(glass):
+    # 1 - 1e-16 is the float just below 1, so the deviate is finite
+    assert 1.0 - 1e-16 < 1.0
+    assert math.isfinite(_upper_z(1e-16))
     d = glass.relabel_binary({0, 1, 2})
-    unpruned = fit_tree(d, TreeParams(prune=False)).to_lines()
-    assert fit_tree(d, TreeParams(pruning_confidence=1e-20)).to_lines() == unpruned
-    assert fit_tree(d, TreeParams()).to_lines() != unpruned
+    unpruned = fit_tree(d, TreeParams(prune=False))
+    assert fit_tree(d, TreeParams(pruning_confidence=1e-16)).n_nodes() < unpruned.n_nodes()
 
 
 def test_tree_encoding_mismatch():
