@@ -114,23 +114,10 @@ class MethodSpec:
         return builder
 
 
-class InvalidConfigValue(ValueError):
-    """A failed :class:`ExperimentConfig` check.  ``key`` is the config key
-    that set the value; ``index`` is the position of the offending entry
-    when the key repeats (``method``, ``dataset``), and ``first`` that of
-    the earlier entry it clashes with."""
-
-    def __init__(
-        self, message: str, key: str, index: int | None = None, first: int | None = None
-    ):
-        super().__init__(message)
-        self.key = key
-        self.index = index
-        self.first = first
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's settings, as :func:`parse_config` checked them."""
+
     datasets: tuple[DatasetRef, ...]
     methods: tuple[MethodSpec, ...]
     k: int = 10
@@ -140,46 +127,17 @@ class ExperimentConfig:
     out: str = "results"
     jobs: int = 1
 
-    def __post_init__(self):
-        if not self.datasets:
-            raise ValueError("at least one dataset required")
-        if not self.methods:
-            raise ValueError("at least one method required")
-        ids = [d.dataset_id for d in self.datasets]
-        for i, dataset_id in enumerate(ids):
-            if dataset_id in ids[:i]:
-                raise InvalidConfigValue(
-                    f"dataset ids (file stems) must be unique: {dataset_id!r} repeats",
-                    "dataset", i, first=ids.index(dataset_id),
-                )
-        names = [m.name for m in self.methods]
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise InvalidConfigValue(
-                    f"method names must be unique: {name!r} repeats",
-                    "method", i, first=names.index(name),
-                )
-        ref = self.reference or names[0]
-        if ref not in names:
-            raise InvalidConfigValue(
-                f"reference method {ref!r} not in the method list", "reference"
-            )
-        object.__setattr__(self, "reference", ref)
-        if self.k < 2:
-            raise InvalidConfigValue("k must be >= 2", "k")
-        if self.repeats < 1:
-            raise InvalidConfigValue("repeats must be >= 1", "repeats")
-        if self.seed < 0:
-            raise InvalidConfigValue("seed must be >= 0", "seed")
-        if self.jobs < 1:
-            raise InvalidConfigValue("jobs must be >= 1", "jobs")
-
 
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {"k", "repeats", "seed", "reference", "out", "jobs"}
+# integer config key -> its least value; ``reference`` and ``out`` are strings
+_INT_KEYS = {"k": 2, "repeats": 1, "seed": 0, "jobs": 1}
+_SCALAR_KEYS = {*_INT_KEYS, "reference", "out"}
+
+# what a repeat error says must be unique, per repeatable key (else "config keys")
+_UNIQUE = {"dataset": "dataset ids (file stems)", "method": "method names"}
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
@@ -203,6 +161,8 @@ def _parse_tokens(text: str, lineno: int) -> dict[str, str]:
         key, _, value = token.partition("=")
         if not key or not value:
             raise ConfigError(lineno, f"expected key=value, got {token!r}")
+        if key in out:
+            raise ConfigError(lineno, f"token {key!r} repeats")
         out[key] = value
     return out
 
@@ -264,11 +224,12 @@ def _method_from_tokens(tokens: dict[str, str], lineno: int) -> MethodSpec:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    datasets: list[DatasetRef] = []
-    methods: list[MethodSpec] = []
-    scalars: dict[str, str] = {}
-    scalar_lines: dict[str, int] = {}
-    entry_lines: dict[str, list[int]] = {"dataset": [], "method": []}
+    """Read a config in one pass, checking each value at the line that sets
+    it, so that the first bad line in file order is the one reported."""
+    entries: dict[str, list] = {"dataset": [], "method": []}
+    scalars: dict[str, int | str] = {}
+    # (key, dataset id, method name or scalar key) -> line of the first entry
+    first_line: dict[tuple[str, str], int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
@@ -287,7 +248,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if bad:
                 raise ConfigError(lineno, f"unknown dataset option {bad.pop()!r}")
             try:
-                ref = DatasetRef(
+                entry = DatasetRef(
                     path=parts[0],
                     format=tokens.get("format", ""),
                     class_col=int(tokens.get("class_col", "-1")),
@@ -296,57 +257,49 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(lineno, str(exc)) from None
             csv_only = sorted({"class_col", "header"} & set(tokens))
-            if ref.format != "csv" and csv_only:
+            if entry.format != "csv" and csv_only:
                 raise ConfigError(lineno, f"dataset option {csv_only[0]!r} applies to csv only")
-            datasets.append(ref)
-            entry_lines["dataset"].append(lineno)
+            name = entry.dataset_id
         elif key == "method":
-            methods.append(_method_from_tokens(_parse_tokens(value, lineno), lineno))
-            entry_lines["method"].append(lineno)
+            entry = _method_from_tokens(_parse_tokens(value, lineno), lineno)
+            name = entry.name
+        elif key in _SCALAR_KEYS:
+            name = key
         else:
-            if key in scalars and key in _SCALAR_KEYS:
-                raise ConfigError(
-                    lineno,
-                    f"config keys must be unique: {key!r} repeats"
-                    f" (first {key} at line {scalar_lines[key]})",
-                )
-            scalars[key] = value
-            scalar_lines[key] = lineno
-
-    def scalar_int(key: str, default: int) -> int:
-        if key not in scalars:
-            return default
-        try:
-            return int(scalars[key])
-        except ValueError:
+            raise ConfigError(lineno, f"unknown config key {key!r}")
+        first = first_line.setdefault((key, name), lineno)
+        if first != lineno:
             raise ConfigError(
-                scalar_lines[key], f"expected an integer for {key!r}"
-            ) from None
+                lineno,
+                f"{_UNIQUE.get(key, 'config keys')} must be unique: {name!r} repeats"
+                f" (first {key} at line {first})",
+            )
+        if key in entries:
+            entries[key].append(entry)
+        elif key in _INT_KEYS:
+            try:
+                scalars[key] = int(value)
+            except ValueError:
+                raise ConfigError(lineno, f"expected an integer for {key!r}") from None
+            if scalars[key] < _INT_KEYS[key]:
+                raise ConfigError(lineno, f"{key} must be >= {_INT_KEYS[key]}")
+        else:
+            scalars[key] = value
 
-    for key in scalars:
-        if key not in _SCALAR_KEYS:
-            raise ConfigError(scalar_lines[key], f"unknown config key {key!r}")
-    try:
-        return ExperimentConfig(
-            datasets=tuple(datasets),
-            methods=tuple(methods),
-            k=scalar_int("k", 10),
-            repeats=scalar_int("repeats", 10),
-            seed=scalar_int("seed", 1),
-            reference=scalars.get("reference", ""),
-            out=scalars.get("out", "results"),
-            jobs=scalar_int("jobs", 1),
+    if not entries["dataset"]:
+        raise ConfigError(0, "at least one dataset required")
+    if not entries["method"]:
+        raise ConfigError(0, "at least one method required")
+    names = [m.name for m in entries["method"]]
+    scalars.setdefault("reference", names[0])
+    if scalars["reference"] not in names:
+        raise ConfigError(
+            first_line["reference", "reference"],
+            f"reference method {scalars['reference']!r} not in the method list",
         )
-    except InvalidConfigValue as exc:
-        if exc.index is None:
-            raise ConfigError(scalar_lines.get(exc.key, 0), str(exc)) from None
-        lines = entry_lines[exc.key]
-        reason = str(exc)
-        if exc.first is not None:
-            reason += f" (first {exc.key} at line {lines[exc.first]})"
-        raise ConfigError(lines[exc.index], reason) from None
-    except ValueError as exc:
-        raise ConfigError(0, str(exc)) from None
+    return ExperimentConfig(
+        datasets=tuple(entries["dataset"]), methods=tuple(entries["method"]), **scalars
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +318,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Evaluate every method on every dataset over one shared fold plan
     per dataset, then write the results table, the machine-readable
     results file, and the per-run timing file.  Cells run in config order
-    on the calling thread, and a failed cell does not stop the rest.
-    ``cfg.jobs`` is checked but unused: threads only contend for the GIL."""
+    on the calling thread, and a failed cell does not stop the rest.  An
+    empty ``cfg.reference`` means the first method; ``cfg.jobs`` is
+    unused, and reserved."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(exit_code=0)
@@ -385,7 +339,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         loaded.append((ref, d))
         cells.extend((ref, d, plan, method) for method in cfg.methods)
 
-    ref_index = [m.name for m in cfg.methods].index(cfg.reference)
+    ref_index = [m.name for m in cfg.methods].index(cfg.reference) if cfg.reference else 0
     results: dict[tuple[str, str], CVResult] = {}
 
     for ref, d, plan, method in cells:
@@ -417,14 +371,15 @@ def _write_outputs(cfg, loaded, results, ref_index, out_dir: Path, report):
         table_path.write_text(table)
         report.files.append(str(table_path))
 
+    reference = cfg.methods[ref_index].name
     csv_lines = ["dataset,method,mean,std,t_vs_reference,significant,plan"]
     for ref, _ in loaded:
-        base = results.get((ref.dataset_id, cfg.reference))
+        base = results.get((ref.dataset_id, reference))
         for method in cfg.methods:
             res = results.get((ref.dataset_id, method.name))
             if res is None:
                 continue
-            if method.name == cfg.reference or base is None:
+            if method.name == reference or base is None:
                 t_txt, sig_txt = "", ""
             else:
                 outcome = corrected_t(base, res)
@@ -526,15 +481,12 @@ def _cmd_evaluate(args) -> int:
     except OSError as exc:
         raise ConfigError(0, f"cannot read config: {exc}") from exc
     cfg = parse_config(text)
-    try:
-        if args.out:
-            cfg = replace(cfg, out=args.out)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.jobs is not None:
-            cfg = replace(cfg, jobs=args.jobs)
-    except ValueError as exc:
-        raise ConfigError(0, str(exc)) from None
+    if args.out:
+        cfg = replace(cfg, out=args.out)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.jobs is not None:
+        cfg = replace(cfg, jobs=args.jobs)
     report = run_experiment(cfg)
     for path in report.files:
         print(path)
@@ -559,8 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int,
-                   help=">= 1, but unused: cells run in order, as threads contend for the GIL")
+    p.add_argument("--jobs", type=int, help=">= 1; checked but unused, and reserved")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("space", help="tree-space size table")
@@ -634,7 +585,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # flags whose range does not depend on the data
-        for flag, least in (("cap", 1), ("seed", 0), ("trees", 1), ("max_c", 2)):
+        for flag, least in (("cap", 1), ("seed", 0), ("trees", 1), ("max_c", 2), ("jobs", 1)):
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise ConfigError(0, f"--{flag.replace('_', '-')} must be >= {least}")

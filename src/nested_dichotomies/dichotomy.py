@@ -44,12 +44,6 @@ class NDNode:
     def is_leaf(self) -> bool:
         return len(self.class_subset) == 1
 
-    def structure(self):
-        """Hashable identity of the split structure (model-free)."""
-        if self.is_leaf:
-            return self.class_subset[0]
-        return frozenset((self.left.structure(), self.right.structure()))
-
 
 class MultiClassModel:
     """Class picks derived from the subclass's
@@ -94,9 +88,6 @@ class NestedDichotomy(MultiClassModel):
         return out
 
     # -- inspection ----------------------------------------------------
-
-    def structure(self):
-        return self.root.structure()
 
     def _preorder(self):
         """``(node, path)`` pairs, each node before its left subtree and

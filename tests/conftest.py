@@ -56,6 +56,14 @@ def simple_dataset(xs, labels, class_names=("a", "b")) -> Dataset:
     return Dataset(attrs, values, class_attribute=1)
 
 
+def structure(node):
+    """Hashable, model-free identity of the split structure under ``node``:
+    a leaf's class index, or the frozenset of its two children's."""
+    if node.is_leaf:
+        return node.class_subset[0]
+    return frozenset((structure(node.left), structure(node.right)))
+
+
 def _quote_if_needed(name: str) -> str:
     """``name`` as an ARFF token: bare when it can be, else in whichever
     quote character it does not contain."""

@@ -47,8 +47,8 @@ def blob_arff(tmp_path):
 
 def config_text(data_path, out_dir, extra="", replace=False):
     """A two-method config with the line(s) ``extra`` after it or, with
-    ``replace``, the one ``key = value`` line ``extra`` in place of the
-    base line that sets ``key``."""
+    ``replace``, the line(s) ``extra`` in place of the base line that sets
+    the ``key`` of their first ``key = value`` line."""
     text = f"""
 # tiny experiment
 dataset = {data_path} format=csv class_col=2
@@ -273,6 +273,7 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
         ("evaluate", "subsample_cap = 0", [], "unknown config key 'subsample_cap'"),
         ("evaluate", "jobs = 0", [], "must be >= 1"),
         ("evaluate", "", ["--jobs", "-1"], "must be >= 1"),
+        ("evaluate", "", ["--jobs", "0"], "config error: --jobs must be >= 1\n"),
         ("inspect", "", ["--cap", "0"], "must be >= 1"),
         ("inspect", "", ["--strategy", "random", "--cap", "5"],
          "config error: --cap applies only to strategy random_pair\n"),
@@ -283,6 +284,8 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
         ("train", "", ["--method", "name=m ridge=inf"], "ridge must be >= 0 and finite"),
         ("train", "", ["--method", "name=m ridge=nan"], "ridge must be >= 0 and finite"),
         ("train", "", ["--method", "name=m tol=inf"], "tol must be > 0 and finite"),
+        ("train", "", ["--method", "name=m size=2 size=3 ensemble=bagging"],
+         "config error: token 'size' repeats\n"),
         ("evaluate", "", ["--seed", "-1"], "config error: --seed must be >= 0\n"),
         ("inspect", "", ["--seed", "-1"], "config error: --seed must be >= 0\n"),
         ("train", "", ["--method", "name=m", "--seed", "-1"],
@@ -291,10 +294,10 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
         ("proportions", "", ["--seed", "-1"], "config error: --seed must be >= 0\n"),
     ],
     ids=[
-        "method-cap", "subsample_cap", "jobs", "jobs-flag",
+        "method-cap", "subsample_cap", "jobs", "jobs-flag", "jobs-flag-zero",
         "inspect-cap", "inspect-cap-on-random", "train-cap", "splits-cap", "proportions-cap",
         "train-ridge",
-        "train-ridge-inf", "train-ridge-nan", "train-tol-inf",
+        "train-ridge-inf", "train-ridge-nan", "train-tol-inf", "train-repeated-token",
         "evaluate-seed", "inspect-seed", "train-seed", "splits-seed", "proportions-seed",
     ],
 )
@@ -347,6 +350,14 @@ def test_cli_value_below_one_exit_two(
         ("k = 0", "k must be >= 2", True),
         ("repeats = 0", "repeats must be >= 1", True),
         ("seed = 7", "config keys must be unique: 'seed' repeats (first seed at line 6)", False),
+        # a token set twice on one line is an error, not the last value
+        ("method = name=m size=2 size=3 ensemble=bagging", "token 'size' repeats", False),
+        ("method = name=m learner=tree learner=logistic", "token 'learner' repeats", False),
+        ("dataset = other.csv format=csv format=arff", "token 'format' repeats", False),
+        # the first bad line in file order is the one reported
+        ("k = 1\nmethod = name=nd strategy=random learner=logistic", "k must be >= 2", True),
+        ("foo = 1\nfoo = 1", "unknown config key 'foo'", False),
+        ("k = x\nmethod = name=m strategy=random cap=5", "expected an integer for 'k'", True),
     ],
     ids=[
         "jobs", "subsample_cap", "reference", "duplicate-method",
@@ -355,6 +366,8 @@ def test_cli_value_below_one_exit_two(
         "tree-option-on-logistic", "ridge-on-tree", "ridge-inf", "tol-inf", "cap",
         "cap-on-random", "size",
         "seed", "k-one", "k-zero", "repeats", "duplicate-seed",
+        "repeated-method-token", "repeated-learner-token", "repeated-dataset-token",
+        "k-before-duplicate-method", "unknown-key-twice", "k-before-bad-method",
     ],
 )
 def test_config_value_error_reports_its_line(
@@ -362,7 +375,8 @@ def test_config_value_error_reports_its_line(
 ):
     out = tmp_path / "out"
     text = config_text(tiny_dataset_file, out, extra, replace)
-    line = text.splitlines().index(extra) + 1
+    # the error is at the first line of ``extra``
+    line = text.splitlines().index(extra.splitlines()[0]) + 1
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.line == line

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_dataset, load_uci, small_datasets
+from conftest import gaussian_dataset, load_uci, small_datasets, structure
 from nested_dichotomies.data import AttributeSpec, Dataset, bootstrap_sample, parse_arff
 from nested_dichotomies.dichotomy import NDNode, NestedDichotomy, build_nd
 from nested_dichotomies.errors import EncodingMismatch, NDError
@@ -71,7 +71,7 @@ def test_random_strategy_reaches_all_15_structures():
         nd = build_nd(d, SubsetSelector("random"),
                       TreeParams(min_instances_per_leaf=1, prune=False),
                       seed, structure_only=True)
-        seen.add(nd.structure())
+        seen.add(structure(nd.root))
         if len(seen) == 15 and seed > 200:
             break
     assert len(seen) == 15  # published count of dichotomies for 4 classes
@@ -193,7 +193,7 @@ def test_build_deterministic():
     for strategy in ("random", "class_balanced", "random_pair"):
         a = build_nd(d, SubsetSelector(strategy), LogisticParams(), seed=13)
         b = build_nd(d, SubsetSelector(strategy), LogisticParams(), seed=13)
-        assert a.structure() == b.structure()
+        assert structure(a.root) == structure(b.root)
         rows = d.values[:5]
         np.testing.assert_array_equal(
             a.predict_distribution_batch(rows), b.predict_distribution_batch(rows)

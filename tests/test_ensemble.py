@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DATASETS_DIR, gaussian_dataset
+from conftest import DATASETS_DIR, gaussian_dataset, structure
 from nested_dichotomies.data import Dataset, parse_arff
 from nested_dichotomies.dichotomy import NDNode, NestedDichotomy
 from nested_dichotomies.ensemble import (
@@ -80,7 +80,7 @@ def test_random_ensemble_distribution_is_mean_of_members():
 def test_random_ensemble_no_duplicate_structures_at_ten_classes():
     d = blob_data(n_classes=10, per_class=5, seed=3)
     e = build_random_ensemble(d, SubsetSelector("random"), FAST_TREE, 10, seed=7)
-    structures = [m.structure() for m in e.members]
+    structures = [structure(m.root) for m in e.members]
     assert len(set(structures)) == 10  # ~34M possible structures
 
 
@@ -92,7 +92,7 @@ def test_bagged_deterministic():
     np.testing.assert_array_equal(
         a.predict_distribution_batch(rows), b.predict_distribution_batch(rows)
     )
-    assert [m.structure() for m in a.members] == [m.structure() for m in b.members]
+    assert [structure(m.root) for m in a.members] == [structure(m.root) for m in b.members]
 
 
 def separable_blobs(seed=0):
@@ -104,7 +104,7 @@ def separable_blobs(seed=0):
 def test_centroid_bagging_too_stable():
     d = separable_blobs(seed=5)
     e = build_bagged_ensemble(d, SubsetSelector("centroid"), LogisticParams(), 10, seed=9)
-    structures = {m.structure() for m in e.members}
+    structures = {structure(m.root) for m in e.members}
     assert len(structures) == 1  # deterministic splits survive bootstrapping
 
 
@@ -113,7 +113,7 @@ def test_random_pair_bagging_varies():
     e = build_bagged_ensemble(
         d, SubsetSelector("random_pair"), LogisticParams(), 10, seed=10
     )
-    structures = {m.structure() for m in e.members}
+    structures = {structure(m.root) for m in e.members}
     assert len(structures) >= 2
 
 
@@ -193,7 +193,7 @@ def test_boosting_deterministic():
         a = build(d, SubsetSelector("random"), FAST_TREE, 6, seed=22)
         b = build(d, SubsetSelector("random"), FAST_TREE, 6, seed=22)
         np.testing.assert_array_equal(a.member_weights, b.member_weights)
-        assert [m.structure() for m in a.members] == [m.structure() for m in b.members]
+        assert [structure(m.root) for m in a.members] == [structure(m.root) for m in b.members]
         np.testing.assert_array_equal(
             a.predict_distribution_batch(d.values[:7]),
             b.predict_distribution_batch(d.values[:7]),
@@ -211,7 +211,7 @@ def test_multiboost_size_one_identical_to_adaboost():
     d = blob_data(n_classes=3, per_class=12, spread=1.0, seed=11)
     a = build_adaboost_ensemble(d, SubsetSelector("random"), FAST_TREE, 1, seed=16)
     m = build_multiboost_ensemble(d, SubsetSelector("random"), FAST_TREE, 1, seed=16)
-    assert a.members[0].structure() == m.members[0].structure()
+    assert structure(a.members[0].root) == structure(m.members[0].root)
     np.testing.assert_array_equal(a.member_weights, m.member_weights)
     np.testing.assert_array_equal(
         a.predict_distribution_batch(d.values[:6]),
