@@ -52,13 +52,6 @@ from .combinatorics import (
     p_fit,
     space_table,
 )
-from .selection import (
-    SplitDecision,
-    SubsetSelector,
-    select_centroid,
-    select_class_balanced,
-    select_random,
-    select_random_pair,
-)
+from .selection import SplitDecision, SubsetSelector
 
 __version__ = "0.1.0"

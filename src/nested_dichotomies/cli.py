@@ -25,27 +25,17 @@ from .combinatorics import (
 )
 from .data import Dataset, parse_arff, parse_csv, stratified_folds
 from .dichotomy import build_nd
-from .ensemble import (
-    build_adaboost_ensemble,
-    build_bagged_ensemble,
-    build_multiboost_ensemble,
-    build_random_ensemble,
-)
-from .errors import ConfigError, InvalidParam, NDError
+from .ensemble import ENSEMBLE_KINDS
+from .errors import ConfigError, InvalidParam, NDError, ParseError
 from .evaluation import CVResult, corrected_t, format_results_table, run_cv
 from .learners import LearnerParams, LogisticParams, TreeParams
 from .learners.base import check_count
 from .seeds import child_seed
 from .selection import STRATEGIES, SubsetSelector
 
-_ENSEMBLE_BUILDERS = {
-    "random": build_random_ensemble,
-    "bagging": build_bagged_ensemble,
-    "adaboost": build_adaboost_ensemble,
-    "multiboost": build_multiboost_ensemble,
-}
-
-ENSEMBLE_KINDS = ("none", *_ENSEMBLE_BUILDERS)
+# ensemble kind -> builder; MethodSpec looks its builder up here at call
+# time, so that a wrapper put in this table (as perfbench's tracer does) runs
+_ENSEMBLE_BUILDERS = {kind: build for kind, (build, _) in ENSEMBLE_KINDS.items()}
 
 # learner name -> (params type, {method token: params field}); the params
 # type owns each option's default and its check
@@ -67,6 +57,16 @@ _LEARNERS = {
 _DEFAULT_LEARNER = "logistic"
 
 
+def _read_utf8(path, error):
+    """The text of the file at ``path``; bytes that are not UTF-8 raise
+    ``error(line, reason)``, on the line that holds the first of them."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(line, f"not UTF-8 text: byte {exc.object[exc.start]:#04x}") from None
+
+
 @dataclass(frozen=True)
 class DatasetRef:
     path: str
@@ -85,7 +85,7 @@ class DatasetRef:
         return Path(self.path).stem
 
     def load(self) -> Dataset:
-        text = Path(self.path).read_text()
+        text = _read_utf8(self.path, ParseError)
         if self.format == "arff":
             return parse_arff(text)
         return parse_csv(text, class_column=self.class_col, header=self.header)
@@ -100,9 +100,11 @@ class MethodSpec:
     size: int = 1
 
     def __post_init__(self):
-        if self.ensemble_kind not in ENSEMBLE_KINDS:
+        if self.ensemble_kind not in ("none", *ENSEMBLE_KINDS):
             raise ValueError(f"unknown ensemble kind {self.ensemble_kind!r}")
         check_count("size", self.size, 1)
+        if self.ensemble_kind == "none" and self.size != 1:
+            raise InvalidParam("size", "applies only to an ensemble")
 
     def make_builder(self):
         def builder(train: Dataset, seed: int):
@@ -251,7 +253,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 entry = DatasetRef(
                     path=parts[0],
                     format=tokens.get("format", ""),
-                    class_col=int(tokens.get("class_col", "-1")),
+                    class_col=_convert(
+                        "class_col", tokens.get("class_col", "-1"), int, lineno
+                    ),
                     header=_parse_bool(tokens.get("header", "false"), lineno),
                 )
             except ValueError as exc:
@@ -267,6 +271,10 @@ def parse_config(text: str) -> ExperimentConfig:
             name = key
         else:
             raise ConfigError(lineno, f"unknown config key {key!r}")
+        if key in _UNIQUE and "," in name:
+            # results.csv and timing.csv separate their fields by commas
+            what = "dataset id" if key == "dataset" else "method name"
+            raise ConfigError(lineno, f"{what} {name!r} holds a comma")
         first = first_line.setdefault((key, name), lineno)
         if first != lineno:
             raise ConfigError(
@@ -477,7 +485,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     try:
-        text = Path(args.config).read_text()
+        text = _read_utf8(args.config, ConfigError)
     except OSError as exc:
         raise ConfigError(0, f"cannot read config: {exc}") from exc
     cfg = parse_config(text)

@@ -447,6 +447,7 @@ def parse_arff(text: str) -> Dataset:
     offending line number, EmptyInput when no data rows are present.
     """
     attributes: list[AttributeSpec] = []
+    decl_lines: list[int] = []
     saw_relation = False
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -461,6 +462,7 @@ def parse_arff(text: str) -> Dataset:
             saw_relation = True
         elif word == "@attribute":
             attributes.append(_parse_attribute_decl(rest, lineno))
+            decl_lines.append(lineno)
         elif word == "@data":
             if not saw_relation:
                 raise ParseError(lineno, "@data before @relation")
@@ -475,7 +477,10 @@ def parse_arff(text: str) -> Dataset:
     rows, linenos = _parse_data_lines(lines, lineno, attributes)
     if not linenos:
         raise EmptyInput("ARFF input has no data rows")
-    return _finish_dataset(attributes, rows, linenos, _last_nominal(attributes))
+    class_attribute = _last_nominal(attributes)
+    return _finish_dataset(
+        attributes, rows, linenos, class_attribute, decl_lines[class_attribute]
+    )
 
 
 def _last_nominal(attributes: list[AttributeSpec]) -> int:
@@ -572,9 +577,19 @@ def _parse_data_row(
     return row
 
 
-def _finish_dataset(attributes, rows, linenos, class_attribute: int) -> Dataset:
+def _finish_dataset(
+    attributes, rows, linenos, class_attribute: int, class_line: int
+) -> Dataset:
     """Dataset of the parsed rows; ``linenos[i]`` is the input line of row
-    ``i``, named when a value is NaN or infinite."""
+    ``i``, named when a value is NaN or infinite, and ``class_line`` is the
+    line named when the class attribute has fewer than two labels."""
+    spec = attributes[class_attribute]
+    if len(spec.values) < 2:
+        raise ParseError(
+            class_line,
+            f"class attribute {spec.name!r} has only the label {spec.values[0]!r}; "
+            "at least 2 are needed",
+        )
     values = np.asarray(rows, dtype=np.float64)
     bad = ~np.isfinite(values)
     if bad.any():
@@ -602,7 +617,10 @@ def parse_csv(text: str, class_column: int, header: bool = False) -> Dataset:
     import io
 
     reader = _csv.reader(io.StringIO(text))
-    raw_rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+    try:
+        raw_rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+    except _csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
     if not raw_rows:
         raise EmptyInput("CSV input has no rows")
 
@@ -642,7 +660,8 @@ def parse_csv(text: str, class_column: int, header: bool = False) -> Dataset:
                 seen.setdefault(v, len(seen))
             attributes.append(AttributeSpec(names[j], tuple(seen)))
             values[:, j] = [seen[v] for v in cols[j]]
-    return _finish_dataset(attributes, values, [ln for ln, _ in raw_rows], class_column)
+    linenos = [ln for ln, _ in raw_rows]
+    return _finish_dataset(attributes, values, linenos, class_column, linenos[0])
 
 
 def _all_numeric(col) -> bool:

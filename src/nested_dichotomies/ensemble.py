@@ -34,15 +34,6 @@ from .selection import SubsetSelector
 
 ZERO_ERROR_VOTE = math.log(1e10)
 
-# ensemble kind -> how its members' predictions combine
-_COMBINERS = {
-    "random": "average_distribution",
-    "bagging": "average_distribution",
-    "adaboost": "weighted_vote",
-    "multiboost": "weighted_vote",
-}
-
-
 @dataclass(frozen=True)
 class EnsembleModel(MultiClassModel):
     members: tuple[NestedDichotomy, ...]
@@ -57,7 +48,7 @@ class EnsembleModel(MultiClassModel):
             raise ValueError("one weight per member required")
         if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("member weights must be finite, >= 0, not all zero")
-        if self.ensemble_kind not in _COMBINERS:
+        if self.ensemble_kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.ensemble_kind!r}")
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "member_weights", w)
@@ -65,7 +56,7 @@ class EnsembleModel(MultiClassModel):
     @property
     def combiner(self) -> str:
         """``average_distribution`` or ``weighted_vote``, by the kind."""
-        return _COMBINERS[self.ensemble_kind]
+        return ENSEMBLE_KINDS[self.ensemble_kind][1]
 
     @property
     def n_classes(self) -> int:
@@ -237,3 +228,12 @@ def build_multiboost_ensemble(
     check_count("size", size, 1)
     inner = frozenset(b for b in multiboost_boundaries(size) if b < size)
     return _boosted(d, strategy, learner, size, seed, "multiboost", inner, observer)
+
+
+# ensemble kind -> (its builder, how its members' predictions combine)
+ENSEMBLE_KINDS = {
+    "random": (build_random_ensemble, "average_distribution"),
+    "bagging": (build_bagged_ensemble, "average_distribution"),
+    "adaboost": (build_adaboost_ensemble, "weighted_vote"),
+    "multiboost": (build_multiboost_ensemble, "weighted_vote"),
+}

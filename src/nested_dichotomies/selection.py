@@ -62,11 +62,8 @@ class SplitDecision:
         return frozenset((frozenset(self.s1), frozenset(self.s2)))
 
 
-def select_random(class_ids, rng: np.random.Generator) -> SplitDecision:
+def _select_random(ids: list[int], rng: np.random.Generator) -> SplitDecision:
     """Uniform over nontrivial unordered two-block partitions."""
-    ids = sorted(class_ids)
-    if len(ids) < 2:
-        raise ValueError("need at least 2 classes to split")
     while True:
         sides = rng.integers(0, 2, size=len(ids))
         if 0 < sides.sum() < len(ids):
@@ -77,50 +74,36 @@ def select_random(class_ids, rng: np.random.Generator) -> SplitDecision:
     return SplitDecision(s1, s2)
 
 
-def select_class_balanced(class_ids, rng: np.random.Generator) -> SplitDecision:
+def _select_class_balanced(ids: list[int], rng: np.random.Generator) -> SplitDecision:
     """Shuffle and cut at ceil(c/2): block sizes differ by at most 1."""
-    ids = np.asarray(sorted(class_ids), dtype=np.intp)
-    if ids.size < 2:
-        raise ValueError("need at least 2 classes to split")
-    perm = rng.permutation(ids)
-    cut = (ids.size + 1) // 2
+    perm = rng.permutation(np.asarray(ids, dtype=np.intp))
+    cut = (len(ids) + 1) // 2
     return SplitDecision(perm[:cut], perm[cut:])
 
 
 def _class_means(d: Dataset, class_ids) -> dict[int, np.ndarray]:
-    """The weighted mean encoded row of each class in ``class_ids`` that
-    has instances in ``d``; classes without instances are left out."""
+    """The weighted mean encoded row of each class in ``class_ids``, each
+    of which has instances in ``d``."""
     X = d.layout.encode(d.values)
     y = d.class_indices()
     w = d.weights
     means = {}
     for c in class_ids:
         mask = y == c
-        total = w[mask].sum()
-        if total > 0:
-            means[c] = (w[mask] @ X[mask]) / total
+        means[c] = (w[mask] @ X[mask]) / w[mask].sum()
     return means
 
 
-def select_centroid(class_ids, d: Dataset) -> SplitDecision:
-    """Deterministic split seeded by the furthest pair of class centroids.
+def _select_centroid(ids: list[int], present: list[int], d: Dataset) -> SplitDecision:
+    """Deterministic split seeded by the furthest pair of the centroids of
+    the ``present`` classes, those of ``ids`` with instances in ``d``.
 
     Ties on the furthest pair go to the lexicographically smallest class
     pair; an equidistant remaining class joins the first seed's side.
     Classes of the set with no instances in ``d`` (possible under
-    bootstrap resampling) also join the first seed's side.  When fewer
-    than two classes of the set have instances, the lowest class is split
-    off from the rest.
+    bootstrap resampling) also join the first seed's side.
     """
-    ids = sorted(class_ids)
-    if len(ids) < 2:
-        raise ValueError("need at least 2 classes to split")
-    if len(ids) == 2:
-        return SplitDecision([ids[0]], [ids[1]])
-    centroids = _class_means(d, ids)
-    present = sorted(centroids)
-    if len(present) < 2:
-        return SplitDecision(ids[:1], ids[1:])
+    centroids = _class_means(d, present)
     best_pair, best_dist = None, -1.0
     for i, a in enumerate(present):
         for b in present[i + 1 :]:
@@ -202,35 +185,6 @@ def assign_by_pair(
     return SplitDecision(s1, s2, PairProvenance((c1, c2), tuple(votes)))
 
 
-def select_random_pair(
-    class_ids,
-    d: Dataset,
-    learner: LearnerParams,
-    rng: np.random.Generator,
-    cap: int | None = None,
-) -> SplitDecision:
-    """Random-pair selection; see :func:`assign_by_pair` for the
-    assignment rules.  The seed pair is drawn from the classes of the set
-    that have instances in ``d``.  With two classes the unique split is
-    returned without training anything, and when fewer than two classes of
-    a larger set have instances the lowest class is split off from the
-    rest; neither draws from ``rng``.  ``cap`` is checked first, as
-    :func:`assign_by_pair` checks it, whichever split is returned."""
-    if cap is not None:
-        check_count("cap", cap, 1)
-    ids = sorted(class_ids)
-    if len(ids) < 2:
-        raise ValueError("need at least 2 classes to split")
-    if len(ids) == 2:
-        return SplitDecision([ids[0]], [ids[1]])
-    counts = d.class_counts()
-    present = [c for c in ids if counts[c] > 0]
-    if len(present) < 2:
-        return SplitDecision(ids[:1], ids[1:])
-    c1, c2 = rng.choice(np.asarray(present, dtype=np.intp), size=2, replace=False)
-    return assign_by_pair(ids, d, learner, int(c1), int(c2), cap, rng)
-
-
 STRATEGIES = ("random", "class_balanced", "centroid", "random_pair")
 
 
@@ -256,10 +210,24 @@ class SubsetSelector:
         learner: LearnerParams,
         rng: np.random.Generator,
     ) -> SplitDecision:
+        """Split ``class_ids``, two or more classes, into two blocks.  For
+        ``centroid`` and ``random_pair``, the unique split of two classes,
+        and the lowest class off when fewer than two of the set have
+        instances in ``d``, train nothing and draw nothing from ``rng``."""
+        ids = sorted(class_ids)
+        if len(ids) < 2:
+            raise ValueError("need at least 2 classes to split")
         if self.strategy_id == "random":
-            return select_random(class_ids, rng)
+            return _select_random(ids, rng)
         if self.strategy_id == "class_balanced":
-            return select_class_balanced(class_ids, rng)
+            return _select_class_balanced(ids, rng)
+        if len(ids) == 2:
+            return SplitDecision(ids[:1], ids[1:])
+        counts = d.class_counts()
+        present = [c for c in ids if counts[c] > 0]
+        if len(present) < 2:
+            return SplitDecision(ids[:1], ids[1:])
         if self.strategy_id == "centroid":
-            return select_centroid(class_ids, d)
-        return select_random_pair(class_ids, d, learner, rng, self.subsample_cap)
+            return _select_centroid(ids, present, d)
+        c1, c2 = rng.choice(np.asarray(present, dtype=np.intp), size=2, replace=False)
+        return assign_by_pair(ids, d, learner, int(c1), int(c2), self.subsample_cap, rng)

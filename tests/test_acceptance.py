@@ -26,7 +26,7 @@ from nested_dichotomies.ensemble import build_adaboost_ensemble, build_bagged_en
 from nested_dichotomies.evaluation import CVResult, corrected_t, run_cv
 from nested_dichotomies.learners import LogisticParams, TreeParams
 from nested_dichotomies.learners.logistic import penalized_nll, penalized_nll_grad
-from nested_dichotomies.selection import SubsetSelector, select_centroid
+from nested_dichotomies.selection import SubsetSelector
 from test_dichotomy import random_stub_tree, brute_force_distribution
 
 # The toolkit the paper defers to runs its logistic learner with no
@@ -218,9 +218,10 @@ def test_criterion_07_determinism_vs_variety():
         np.random.default_rng(7).normal(size=(6, 3)) * 3.0, per_class=12, seed=8
     )
     ids = list(range(6))
-    first = select_centroid(ids, d)
+    centroid = SubsetSelector("centroid")
+    first = centroid.select(ids, d, LOGISTIC, None)
     stable = all(
-        select_centroid(ids, d).as_partition() == first.as_partition()
+        centroid.select(ids, d, LOGISTIC, None).as_partition() == first.as_partition()
         for _ in range(99)
     )
     roots = set()

@@ -292,6 +292,8 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
          "config error: --seed must be >= 0\n"),
         ("splits", "", ["--seed", "-2"], "config error: --seed must be >= 0\n"),
         ("proportions", "", ["--seed", "-1"], "config error: --seed must be >= 0\n"),
+        ("train", "", ["--method", "name=m size=5"],
+         "config error: size applies only to an ensemble\n"),
     ],
     ids=[
         "method-cap", "subsample_cap", "jobs", "jobs-flag", "jobs-flag-zero",
@@ -299,6 +301,7 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
         "train-ridge",
         "train-ridge-inf", "train-ridge-nan", "train-tol-inf", "train-repeated-token",
         "evaluate-seed", "inspect-seed", "train-seed", "splits-seed", "proportions-seed",
+        "train-size-without-ensemble",
     ],
 )
 def test_cli_value_below_one_exit_two(
@@ -345,6 +348,13 @@ def test_cli_value_below_one_exit_two(
         ("method = name=m strategy=random cap=5",
          "cap applies only to strategy random_pair", False),
         ("method = name=m ensemble=bagging size=0", "size must be >= 1", False),
+        ("method = name=m size=0", "size must be >= 1", False),
+        ("method = name=m size=5", "size applies only to an ensemble", False),
+        # results.csv and timing.csv would get more fields than their headers
+        ("method = name=a,b", "method name 'a,b' holds a comma", False),
+        ("dataset = z,oo.arff", "dataset id 'z,oo' holds a comma", False),
+        ("dataset = other.csv class_col=x",
+         "bad value for class_col: invalid literal for int() with base 10: 'x'", False),
         ("seed = -1", "seed must be >= 0", True),
         ("k = 1", "k must be >= 2", True),
         ("k = 0", "k must be >= 2", True),
@@ -364,7 +374,8 @@ def test_cli_value_below_one_exit_two(
         "ridge", "tol", "tol-nan", "max_iter", "min_leaf", "min_leaf-float", "cf-zero", "cf-high",
         "cf-tiny",
         "tree-option-on-logistic", "ridge-on-tree", "ridge-inf", "tol-inf", "cap",
-        "cap-on-random", "size",
+        "cap-on-random", "size", "size-zero-without-ensemble", "size-without-ensemble",
+        "comma-in-method-name", "comma-in-dataset-id", "class_col",
         "seed", "k-one", "k-zero", "repeats", "duplicate-seed",
         "repeated-method-token", "repeated-learner-token", "repeated-dataset-token",
         "k-before-duplicate-method", "unknown-key-twice", "k-before-bad-method",
@@ -534,6 +545,44 @@ def test_non_finite_dataset_is_a_dataset_failure(tiny_dataset_file, tmp_path):
     assert report.failures == ["bad: line 5: non-finite value for attribute 'x'"]
     rows = (out / "results.csv").read_text().splitlines()[1:]
     assert [row.split(",")[:2] for row in rows] == [["tiny", "rpnd"], ["tiny", "nd"]]
+
+
+@pytest.mark.parametrize(
+    "name, content, failure",
+    [
+        ("latin1.arff", NON_FINITE_ARFF.replace("inf,a", "1,a").encode() + b"2,\xe9\n",
+         "line 8: not UTF-8 text: byte 0xe9"),
+        ("one.arff", b"@relation r\n@attribute x numeric\n@attribute c {b}\n@data\n1,b\n",
+         "line 3: class attribute 'c' has only the label 'b'; at least 2 are needed"),
+        ("one.csv", b"1,b\n2,b\n",
+         "line 1: class attribute 'col1' has only the label 'b'; at least 2 are needed"),
+        ("long.csv", b"1,a\n2," + b"x" * 200_000 + b"\n",
+         "line 2: field larger than field limit (131072)"),
+    ],
+    ids=["non-utf8", "arff-one-label", "csv-one-label", "csv-long-field"],
+)
+def test_unreadable_dataset_is_a_dataset_failure(
+    tiny_dataset_file, tmp_path, capsys, name, content, failure
+):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_text(tiny_dataset_file, out).replace("k = 2", f"dataset = {bad}\nk = 2"))
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {bad.stem}: {failure}\n"
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["tiny", "rpnd"], ["tiny", "nd"]]
+
+
+def test_non_utf8_config_is_a_config_error(tiny_dataset_file, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(config_text(tiny_dataset_file, tmp_path / "out").encode() + b"# \xff\n")
+    line = cfg.read_bytes().count(b"\n")
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: config line {line}: not UTF-8 text: byte 0xff\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_evaluate_end_to_end(tiny_dataset_file, tmp_path, capsys):

@@ -405,6 +405,31 @@ def test_parse_csv_empty():
         parse_csv("", class_column=0)
 
 
+def test_parse_csv_oversized_field_reports_line():
+    # the csv module refuses a field past its size limit
+    with pytest.raises(ParseError) as err:
+        parse_csv("1,a\n2,b\n3," + "x" * 200_000 + "\n", class_column=1)
+    assert err.value.line == 3
+    assert "field larger than field limit" in err.value.reason
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_arff, "@relation r\n@attribute x numeric\n@attribute c {b}\n@data\n1,b\n", 3),
+        (lambda t: parse_csv(t, class_column=1), "1,b\n2,b\n", 1),
+        (lambda t: parse_csv(t, class_column=1, header=True), "x,c\n1,b\n2,b\n", 2),
+    ],
+    ids=["arff", "csv", "csv-header"],
+)
+def test_single_label_class_is_a_parse_error(parse, text, line):
+    # the class declaration's line in ARFF, the first data row's in CSV
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert err.value.reason.endswith("has only the label 'b'; at least 2 are needed")
+
+
 # -- dataset invariants ------------------------------------------------
 
 

@@ -15,11 +15,12 @@ from nested_dichotomies.selection import (
     SubsetSelector,
     _class_means,
     assign_by_pair,
-    select_centroid,
-    select_class_balanced,
-    select_random,
-    select_random_pair,
 )
+
+RANDOM = SubsetSelector("random")
+CLASS_BALANCED = SubsetSelector("class_balanced")
+CENTROID = SubsetSelector("centroid")
+RANDOM_PAIR = SubsetSelector("random_pair")
 
 
 def is_partition(decision: SplitDecision, class_ids) -> bool:
@@ -32,7 +33,7 @@ def is_partition(decision: SplitDecision, class_ids) -> bool:
 
 def test_random_two_classes_unique():
     rng = np.random.default_rng(0)
-    d = select_random([3, 8], rng)
+    d = RANDOM.select([3, 8], None, None, rng)
     assert d.as_partition() == frozenset({frozenset({3}), frozenset({8})})
 
 
@@ -41,7 +42,7 @@ def test_random_uniform_over_three_partitions():
     counts = Counter()
     n = 100_000
     for _ in range(n):
-        counts[select_random([0, 1, 2], rng).as_partition()] += 1
+        counts[RANDOM.select([0, 1, 2], None, None, rng).as_partition()] += 1
     assert len(counts) == 3
     for c in counts.values():
         assert abs(c / n - 1 / 3) < 0.02
@@ -51,14 +52,14 @@ def test_random_partition_invariant_fuzz():
     rng = np.random.default_rng(2)
     for _ in range(200):
         ids = sorted(rng.choice(50, size=rng.integers(2, 10), replace=False).tolist())
-        assert is_partition(select_random(ids, rng), ids)
+        assert is_partition(RANDOM.select(ids, None, None, rng), ids)
 
 
 def test_random_reaches_all_partitions():
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(2000):
-        seen.add(select_random([0, 1, 2, 3], rng).as_partition())
+        seen.add(RANDOM.select([0, 1, 2, 3], None, None, rng).as_partition())
     assert len(seen) == 2 ** 3 - 1  # 7 nontrivial partitions of 4 classes
 
 
@@ -70,7 +71,7 @@ def test_balanced_sizes():
     for c, want in [(4, {2}), (5, {2, 3}), (7, {3, 4})]:
         ids = list(range(c))
         for _ in range(50):
-            d = select_class_balanced(ids, rng)
+            d = CLASS_BALANCED.select(ids, None, None, rng)
             assert {len(d.s1), len(d.s2)} == want
             assert is_partition(d, ids)
 
@@ -80,7 +81,7 @@ def test_balanced_four_classes_three_partitions_uniform():
     counts = Counter()
     n = 100_000
     for _ in range(n):
-        counts[select_class_balanced([0, 1, 2, 3], rng).as_partition()] += 1
+        counts[CLASS_BALANCED.select([0, 1, 2, 3], None, None, rng).as_partition()] += 1
     assert len(counts) == 3  # matches the published class-balanced count at c=4
     for c in counts.values():
         assert abs(c / n - 1 / 3) < 0.02
@@ -97,7 +98,7 @@ def line_dataset(positions, per_class=5, spread=1e-6, seed=0):
 def test_centroid_line_example():
     # centroids at 0, 1, 10: furthest pair is (0, 2); class 1 joins class 0
     d = line_dataset([0.0, 1.0, 10.0])
-    decision = select_centroid([0, 1, 2], d)
+    decision = CENTROID.select([0, 1, 2], d, None, None)
     assert decision.s1 == (0, 1)
     assert decision.s2 == (2,)
 
@@ -107,22 +108,22 @@ def test_centroid_line_example():
     values = np.array([[0.0, 0.0], [10.0, 1.0], [2.0, 2.0], [7.0, 2.0]])
     unweighted = Dataset(attrs, values, 1)
     weighted = Dataset(attrs, values, 1, weights=[1.0, 1.0, 1.0, 3.0])
-    assert select_centroid([0, 1, 2], unweighted) == SplitDecision((0, 2), (1,))
-    assert select_centroid([0, 1, 2], weighted) == SplitDecision((0,), (1, 2))
+    assert CENTROID.select([0, 1, 2], unweighted, None, None) == SplitDecision((0, 2), (1,))
+    assert CENTROID.select([0, 1, 2], weighted, None, None) == SplitDecision((0,), (1, 2))
 
 
 def test_centroid_two_classes():
     d = line_dataset([0.0, 5.0])
-    decision = select_centroid([0, 1], d)
+    decision = CENTROID.select([0, 1], d, None, None)
     assert decision.s1 == (0,) and decision.s2 == (1,)
 
 
 def test_centroid_deterministic_100x():
     d = gaussian_dataset(np.random.default_rng(6).normal(size=(5, 3)), per_class=8, seed=7)
     ids = list(range(5))
-    first = select_centroid(ids, d)
+    first = CENTROID.select(ids, d, None, None)
     for _ in range(99):
-        again = select_centroid(ids, d)
+        again = CENTROID.select(ids, d, None, None)
         assert again.s1 == first.s1 and again.s2 == first.s2
 
 
@@ -134,7 +135,7 @@ def test_centroid_furthest_pair_tie_lexicographic():
         [[0, 0, 0], [1, 0, 1], [0, 1, 2], [1, 1, 3]], dtype=float
     )
     d = Dataset(attrs, values, 2)
-    decision = select_centroid([0, 1, 2, 3], d)
+    decision = CENTROID.select([0, 1, 2, 3], d, None, None)
     # diagonals (0,3) and (1,2) tie; (0,3) is lexicographically smaller
     assert 0 in decision.s1 and 3 in decision.s2
 
@@ -171,7 +172,7 @@ def test_centroid_absent_class_joins_first_side():
     attrs = [AttributeSpec("x"), AttributeSpec("c", ("a", "b", "c"))]
     values = np.array([[0.0, 0.0], [0.1, 0.0], [9.0, 1.0], [9.1, 1.0]])
     d = Dataset(attrs, values, 1)
-    decision = select_centroid([0, 1, 2], d)
+    decision = CENTROID.select([0, 1, 2], d, None, None)
     assert is_partition(decision, [0, 1, 2])
     assert 2 in decision.s1  # follows the first seed's side
 
@@ -201,21 +202,21 @@ def test_random_pair_groups_similar_classes():
 
 def test_random_pair_two_classes_no_training():
     rng = np.random.default_rng(8)
-    decision = select_random_pair([4, 9], None, Exploding(), rng)
+    decision = RANDOM_PAIR.select([4, 9], None, Exploding(), rng)
     assert decision.s1 == (4,) and decision.s2 == (9,)
 
 
 def test_random_pair_deterministic_given_seed():
     d = four_cluster_data()
-    a = select_random_pair([0, 1, 2, 3], d, LogisticParams(), np.random.default_rng(5))
-    b = select_random_pair([0, 1, 2, 3], d, LogisticParams(), np.random.default_rng(5))
+    a = RANDOM_PAIR.select([0, 1, 2, 3], d, LogisticParams(), np.random.default_rng(5))
+    b = RANDOM_PAIR.select([0, 1, 2, 3], d, LogisticParams(), np.random.default_rng(5))
     assert a.s1 == b.s1 and a.s2 == b.s2 and a.provenance == b.provenance
 
 
 def test_random_pair_partition_invariant_many_seeds():
     d = four_cluster_data(seed=3)
     for seed in range(30):
-        decision = select_random_pair(
+        decision = RANDOM_PAIR.select(
             [0, 1, 2, 3], d, TreeParams(min_instances_per_leaf=1),
             np.random.default_rng(seed),
         )
@@ -234,7 +235,7 @@ def test_random_pair_distinct_splits_bounded_by_pairs():
 def test_random_pair_subsample_cap():
     d = four_cluster_data(seed=5)
     rng = np.random.default_rng(11)
-    decision = select_random_pair([0, 1, 2, 3], d, LogisticParams(), rng, cap=5)
+    decision = SubsetSelector("random_pair", 5).select([0, 1, 2, 3], d, LogisticParams(), rng)
     assert is_partition(decision, [0, 1, 2, 3])
 
 
@@ -254,6 +255,8 @@ def test_selector_dispatch():
         sel = SubsetSelector(strategy)
         decision = sel.select([0, 1, 2, 3], d, LogisticParams(), np.random.default_rng(1))
         assert is_partition(decision, [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="need at least 2 classes to split"):
+            sel.select([2], d, LogisticParams(), np.random.default_rng(1))
     with pytest.raises(ValueError):
         SubsetSelector("nope")
 
@@ -293,13 +296,11 @@ def test_pair_assignment_checks_its_cap_before_any_fit(cap, requirement, monkeyp
     with pytest.raises(InvalidParam) as err:
         assign_by_pair([0, 1, 2, 3], d, LogisticParams(), 0, 1, cap)
     assert (err.value.field, err.value.requirement) == ("cap", requirement)
-    # the cap is checked whichever split comes back: the unique split of
-    # two classes, the lowest class off when fewer than two have instances,
-    # and a trained pair's split
-    only_zero = d.restrict_to_classes([0])
-    for class_ids, data in [([0, 1], d), ([0, 1, 2], only_zero), ([0, 1, 2, 3], d)]:
-        with pytest.raises(InvalidParam, match=requirement):
-            select_random_pair(class_ids, data, LogisticParams(), np.random.default_rng(0), cap)
+    # a selector with the cap cannot be built, so no split comes back: not
+    # the unique split of two classes, not the lowest class off when fewer
+    # than two have instances, and not a trained pair's split
+    with pytest.raises(InvalidParam, match=requirement):
+        SubsetSelector("random_pair", cap)
 
 
 @settings(max_examples=150, deadline=None)
