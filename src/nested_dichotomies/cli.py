@@ -58,10 +58,11 @@ _DEFAULT_LEARNER = "logistic"
 
 
 def _read_utf8(path, error):
-    """The text of the file at ``path``; bytes that are not UTF-8 raise
-    ``error(line, reason)``, on the line that holds the first of them."""
+    """The text of the file at ``path``, without a leading byte-order
+    mark; bytes that are not UTF-8 raise ``error(line, reason)``, on the
+    line that holds the first of them."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(line, f"not UTF-8 text: byte {exc.object[exc.start]:#04x}") from None
@@ -325,16 +326,16 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Evaluate every method on every dataset over one shared fold plan
     per dataset, then write the results table, the machine-readable
-    results file, and the per-run timing file.  Cells run in config order
-    on the calling thread, and a failed cell does not stop the rest.  An
-    empty ``cfg.reference`` means the first method; ``cfg.jobs`` is
-    unused, and reserved."""
+    results file, and the per-run timing file.  Each dataset is loaded,
+    folded and run through every method before the next, in config order,
+    and a failed dataset or cell does not stop the rest.  An empty
+    ``cfg.reference`` means the first method; ``cfg.jobs`` is unused."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(exit_code=0)
 
-    loaded: list[tuple[DatasetRef, Dataset]] = []
-    cells = []
+    # per dataset that could be folded, method name -> result, in config order
+    results: list[dict[str, CVResult]] = []
     for ref in cfg.datasets:
         try:
             d = ref.load()
@@ -344,21 +345,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         except (OSError, NDError) as exc:
             report.failures.append(f"{ref.dataset_id}: {exc}")
             continue
-        loaded.append((ref, d))
-        cells.extend((ref, d, plan, method) for method in cfg.methods)
+        row = {}
+        for method in cfg.methods:
+            try:
+                row[method.name] = run_cv(
+                    d, method.make_builder(), plan, ref.dataset_id, method.name
+                )
+            except Exception as exc:
+                report.failures.append(f"{ref.dataset_id}/{method.name}: {exc}")
+        results.append(row)
 
-    ref_index = [m.name for m in cfg.methods].index(cfg.reference) if cfg.reference else 0
-    results: dict[tuple[str, str], CVResult] = {}
-
-    for ref, d, plan, method in cells:
-        try:
-            results[(ref.dataset_id, method.name)] = run_cv(
-                d, method.make_builder(), plan, ref.dataset_id, method.name
-            )
-        except Exception as exc:
-            report.failures.append(f"{ref.dataset_id}/{method.name}: {exc}")
-
-    _write_outputs(cfg, loaded, results, ref_index, out_dir, report)
+    _write_outputs(cfg, results, out_dir, report)
     if report.failures:
         report.exit_code = 1
         for failure in report.failures:
@@ -366,28 +363,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _write_outputs(cfg, loaded, results, ref_index, out_dir: Path, report):
-    grid = []
-    for ref, _ in loaded:
-        row = [results.get((ref.dataset_id, m.name)) for m in cfg.methods]
-        if all(r is not None for r in row):
-            grid.append(row)
+def _write_outputs(cfg, results, out_dir: Path, report):
+    names = [m.name for m in cfg.methods]
+    reference = cfg.reference or names[0]
 
+    grid = [list(row.values()) for row in results if len(row) == len(names)]
     if grid:
-        table = format_results_table(grid, reference=ref_index)
+        table = format_results_table(grid, reference=names.index(reference))
         table_path = out_dir / "results.txt"
         table_path.write_text(table)
         report.files.append(str(table_path))
 
-    reference = cfg.methods[ref_index].name
     csv_lines = ["dataset,method,mean,std,t_vs_reference,significant,plan"]
-    for ref, _ in loaded:
-        base = results.get((ref.dataset_id, reference))
-        for method in cfg.methods:
-            res = results.get((ref.dataset_id, method.name))
-            if res is None:
-                continue
-            if method.name == reference or base is None:
+    timing_lines = ["dataset,method,repeat,fold,train_ms"]
+    for row in results:
+        base = row.get(reference)
+        for name, res in row.items():
+            if name == reference or base is None:
                 t_txt, sig_txt = "", ""
             else:
                 outcome = corrected_t(base, res)
@@ -399,20 +391,15 @@ def _write_outputs(cfg, loaded, results, ref_index, out_dir: Path, report):
                 f"{res.dataset_id},{res.method_id},{res.mean:.10f},{res.std:.10f},"
                 f"{t_txt},{sig_txt},{res.plan_fingerprint}"
             )
-    csv_path = out_dir / "results.csv"
-    csv_path.write_text("\n".join(csv_lines) + "\n")
-    report.files.append(str(csv_path))
-
-    timing_lines = ["dataset,method,repeat,fold,train_ms"]
-    for (dataset_id, method_id), res in sorted(results.items()):
-        for i, seconds in enumerate(res.train_seconds):
-            r, f = divmod(i, res.k)
-            timing_lines.append(
-                f"{dataset_id},{method_id},{r},{f},{1000.0 * seconds:.3f}"
-            )
-    timing_path = out_dir / "timing.csv"
-    timing_path.write_text("\n".join(timing_lines) + "\n")
-    report.files.append(str(timing_path))
+            for i, seconds in enumerate(res.train_seconds):
+                r, f = divmod(i, res.k)
+                timing_lines.append(
+                    f"{res.dataset_id},{res.method_id},{r},{f},{1000.0 * seconds:.3f}"
+                )
+    for name, lines in (("results.csv", csv_lines), ("timing.csv", timing_lines)):
+        path = out_dir / name
+        path.write_text("\n".join(lines) + "\n")
+        report.files.append(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +480,6 @@ def _cmd_evaluate(args) -> int:
         cfg = replace(cfg, out=args.out)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.jobs is not None:
-        cfg = replace(cfg, jobs=args.jobs)
     report = run_experiment(cfg)
     for path in report.files:
         print(path)
@@ -519,7 +504,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help=">= 1; checked but unused, and reserved")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("space", help="tree-space size table")
@@ -593,7 +577,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # flags whose range does not depend on the data
-        for flag, least in (("cap", 1), ("seed", 0), ("trees", 1), ("max_c", 2), ("jobs", 1)):
+        for flag, least in (("cap", 1), ("seed", 0), ("trees", 1), ("max_c", 2)):
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise ConfigError(0, f"--{flag.replace('_', '-')} must be >= {least}")

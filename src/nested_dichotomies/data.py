@@ -611,14 +611,20 @@ def parse_csv(text: str, class_column: int, header: bool = False) -> Dataset:
     A column is numeric iff every value parses as a real number; anything
     else (including the class column, always) is nominal with values
     ordered by first appearance.  NaN and infinite values raise
-    ParseError.
+    ParseError; a missing value (``?``, or an empty or blank cell) raises
+    MissingValue.  Errors name the line that their record starts on.
     """
     import csv as _csv
     import io
 
     reader = _csv.reader(io.StringIO(text))
+    raw_rows = []  # (line the record starts on, its fields)
+    start = 1
     try:
-        raw_rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+        for row in reader:
+            if row:
+                raw_rows.append((start, row))
+            start = reader.line_num + 1
     except _csv.Error as exc:
         raise ParseError(reader.line_num, str(exc)) from None
     if not raw_rows:
@@ -644,7 +650,7 @@ def parse_csv(text: str, class_column: int, header: bool = False) -> Dataset:
     cols = [[row[j].strip() for _, row in raw_rows] for j in range(width)]
     for lineno, row in raw_rows:
         for cell in row:
-            if cell.strip() == "?":
+            if cell.strip() in ("?", ""):
                 raise MissingValue(lineno, "missing value")
 
     attributes = []

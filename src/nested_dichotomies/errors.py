@@ -20,7 +20,8 @@ class UnsupportedFeature(ParseError):
 
 
 class MissingValue(ParseError):
-    """A '?' token in the data section; missing values are not supported."""
+    """A '?' token, or an empty CSV cell, in the data; missing values are
+    not supported."""
 
 
 class EmptyInput(NDError):

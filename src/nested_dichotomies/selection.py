@@ -10,7 +10,8 @@ Four ways to split a node's class set into two blocks:
   centroids seed the blocks and every other class joins the nearer seed.
 * ``random_pair`` — a random pair of classes seeds the blocks; a binary
   model trained on just that pair classifies every remaining class's
-  instances, and each class follows the majority of its votes.
+  instances, and each class follows the majority of its votes, each
+  instance voting with its weight.
 
 All selectors return a partition: two disjoint, non-empty blocks covering
 the input class set, for any set of two or more classes.  The two that
@@ -35,10 +36,11 @@ from .seeds import rng_from
 @dataclass(frozen=True)
 class PairProvenance:
     """How a random-pair split came about: the seed pair and, per
-    remaining class, the instance votes for each side."""
+    remaining class, the summed weight of its instances voting for each
+    side."""
 
     pair: tuple[int, int]
-    votes: tuple[tuple[int, int, int], ...]  # (class, votes for c1, votes for c2)
+    votes: tuple[tuple[int, float, float], ...]  # (class, weight for c1, weight for c2)
 
 
 @dataclass(frozen=True)
@@ -149,8 +151,9 @@ def assign_by_pair(
 
     Trains a binary model on the pair's instances (optionally subsampled
     to ``cap`` per class), classifies every other class's instances with
-    it, and sends each class to the side winning strictly more votes.  A
-    vote tie goes to the currently smaller side, then to c1's side.
+    it, and sends each class to the side whose votes carry strictly more
+    instance weight.  A vote tie goes to the currently smaller side, then
+    to c1's side.
     Raises :class:`InvalidParam` before any fit unless ``cap`` is None or
     an integer of at least 1.
     """
@@ -168,11 +171,11 @@ def assign_by_pair(
             continue
         rows = np.flatnonzero(y == c)
         if rows.size:
-            p = model.predict_prob_batch(d.values[rows])
-            v1 = int(np.count_nonzero(p >= 0.5))  # 0.5 exactly -> first class
-            v2 = rows.size - v1
+            hit = model.predict_prob_batch(d.values[rows]) >= 0.5  # 0.5 -> first class
+            w = d.weights[rows]
+            v1, v2 = float(w[hit].sum()), float(w[~hit].sum())
         else:
-            v1 = v2 = 0
+            v1 = v2 = 0.0
         votes.append((c, v1, v2))
         if v1 > v2:
             s1.append(c)

@@ -29,6 +29,9 @@ TINY_CSV = "\n".join(
 ) + "\n"
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
 @pytest.fixture()
 def tiny_dataset_file(tmp_path):
     path = tmp_path / "tiny.csv"
@@ -265,6 +268,17 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg)]) == 2
 
 
+def test_cli_evaluate_has_no_jobs_flag(tiny_dataset_file, tmp_path, capsys):
+    # jobs is a config key only; the flag is an argparse usage error
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_text(tiny_dataset_file, tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--config", str(cfg), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, extra, flags, reason",
     [
@@ -272,8 +286,6 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
          "must be >= 1"),
         ("evaluate", "subsample_cap = 0", [], "unknown config key 'subsample_cap'"),
         ("evaluate", "jobs = 0", [], "must be >= 1"),
-        ("evaluate", "", ["--jobs", "-1"], "must be >= 1"),
-        ("evaluate", "", ["--jobs", "0"], "config error: --jobs must be >= 1\n"),
         ("inspect", "", ["--cap", "0"], "must be >= 1"),
         ("inspect", "", ["--strategy", "random", "--cap", "5"],
          "config error: --cap applies only to strategy random_pair\n"),
@@ -296,7 +308,7 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
          "config error: size applies only to an ensemble\n"),
     ],
     ids=[
-        "method-cap", "subsample_cap", "jobs", "jobs-flag", "jobs-flag-zero",
+        "method-cap", "subsample_cap", "jobs",
         "inspect-cap", "inspect-cap-on-random", "train-cap", "splits-cap", "proportions-cap",
         "train-ridge",
         "train-ridge-inf", "train-ridge-nan", "train-tol-inf", "train-repeated-token",
@@ -552,6 +564,9 @@ def test_non_finite_dataset_is_a_dataset_failure(tiny_dataset_file, tmp_path):
     [
         ("latin1.arff", NON_FINITE_ARFF.replace("inf,a", "1,a").encode() + b"2,\xe9\n",
          "line 8: not UTF-8 text: byte 0xe9"),
+        # the mark is dropped, and the bad byte is still named on its line
+        ("bom.arff", BOM + NON_FINITE_ARFF.replace("inf,a", "1,a").encode()
+         + b"2,\xe9\n", "line 8: not UTF-8 text: byte 0xe9"),
         ("one.arff", b"@relation r\n@attribute x numeric\n@attribute c {b}\n@data\n1,b\n",
          "line 3: class attribute 'c' has only the label 'b'; at least 2 are needed"),
         ("one.csv", b"1,b\n2,b\n",
@@ -559,7 +574,7 @@ def test_non_finite_dataset_is_a_dataset_failure(tiny_dataset_file, tmp_path):
         ("long.csv", b"1,a\n2," + b"x" * 200_000 + b"\n",
          "line 2: field larger than field limit (131072)"),
     ],
-    ids=["non-utf8", "arff-one-label", "csv-one-label", "csv-long-field"],
+    ids=["non-utf8", "bom-non-utf8", "arff-one-label", "csv-one-label", "csv-long-field"],
 )
 def test_unreadable_dataset_is_a_dataset_failure(
     tiny_dataset_file, tmp_path, capsys, name, content, failure
@@ -573,6 +588,36 @@ def test_unreadable_dataset_is_a_dataset_failure(
     assert capsys.readouterr().err == f"error: {bad.stem}: {failure}\n"
     rows = (out / "results.csv").read_text().splitlines()[1:]
     assert [row.split(",")[:2] for row in rows] == [["tiny", "rpnd"], ["tiny", "nd"]]
+
+
+def test_dataset_behind_a_byte_order_mark_reads_as_without(tiny_dataset_file, tmp_path, capsys):
+    zoo = DATASETS_DIR / "zoo.arff"
+    bom_zoo = tmp_path / "zoo.arff"
+    bom_zoo.write_bytes(BOM + zoo.read_bytes())
+    dumps = []
+    for path in (zoo, bom_zoo):
+        assert main(["inspect", "--data", str(path), "--seed", "7"]) == 0
+        dumps.append(capsys.readouterr().out)
+    assert dumps[0] == dumps[1]
+    bom_csv = tmp_path / "bom.csv"
+    bom_csv.write_bytes(BOM + tiny_dataset_file.read_bytes())
+    d = DatasetRef(str(bom_csv)).load()
+    assert not d.attributes[0].is_nominal  # the first value reads 0, not "\ufeff0"
+    assert np.array_equal(d.values, DatasetRef(str(tiny_dataset_file)).load().values)
+
+
+def test_config_behind_a_byte_order_mark_reads_as_without(tiny_dataset_file, tmp_path):
+    # the config opens with its dataset line, so a kept mark would be
+    # part of the key
+    text = config_text(tiny_dataset_file, tmp_path / "out").replace("\n# tiny experiment\n", "")
+    assert text.startswith("dataset = ")
+    csv_files = []
+    for name, prefix in (("plain", b""), ("bom", BOM)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(prefix + text.encode())
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        csv_files.append((tmp_path / name / "results.csv").read_bytes())
+    assert csv_files[0] == csv_files[1]
 
 
 def test_non_utf8_config_is_a_config_error(tiny_dataset_file, tmp_path, capsys):
@@ -666,6 +711,58 @@ def test_failed_method_leaves_the_others_written(
     assert [row.split(",")[:4] for row in timing] == [
         ["tiny", "nd", "0", "0"], ["tiny", "nd", "0", "1"]
     ]
+
+
+def three_dataset_config(tiny_dataset_file, tmp_path, out):
+    """zoo, a missing file and tiny, in that config order, which is not
+    the order of their names."""
+    return config_text(tiny_dataset_file, out).replace(
+        f"dataset = {tiny_dataset_file}",
+        f"dataset = {DATASETS_DIR / 'zoo.arff'}\n"
+        f"dataset = {tmp_path / 'missing.csv'}\n"
+        f"dataset = {tiny_dataset_file}",
+    )
+
+
+def test_datasets_around_an_unloadable_one_are_written_in_config_order(
+    tiny_dataset_file, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(three_dataset_config(tiny_dataset_file, tmp_path, out))
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: missing: ")
+    rows = [row.split(",")[:2] for row in (out / "results.csv").read_text().splitlines()[1:]]
+    assert rows == [["zoo", "rpnd"], ["zoo", "nd"], ["tiny", "rpnd"], ["tiny", "nd"]]
+    table = (out / "results.txt").read_text().splitlines()
+    assert [line.split()[0] for line in table[2:]] == ["zoo", "tiny"]
+    # timing.csv follows results.csv: per row, its runs in repeat and fold order
+    timing = [row.split(",")[:4] for row in (out / "timing.csv").read_text().splitlines()[1:]]
+    assert timing == [[*row, "0", str(f)] for row in rows for f in (0, 1)]
+
+
+def test_failures_are_reported_in_config_order(
+    tiny_dataset_file, tmp_path, monkeypatch, capsys
+):
+    def wrap(method, builder):
+        if method.name != "nd":
+            return builder
+
+        def failing(train, seed):
+            raise RuntimeError("boom")
+
+        return failing
+
+    wrap_builders(monkeypatch, wrap)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(three_dataset_config(tiny_dataset_file, tmp_path, out))
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[1] for line in lines] == ["zoo/nd", "missing", "tiny/nd"]
+    rows = [row.split(",")[:2] for row in (out / "results.csv").read_text().splitlines()[1:]]
+    assert rows == [["zoo", "rpnd"], ["tiny", "rpnd"]]
+    assert not (out / "results.txt").exists()
 
 
 def test_zoo_single_rpnd_logistic_accuracy_band(tmp_path):

@@ -388,6 +388,32 @@ def test_parse_csv_ragged_row():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('1,"x\ny"\n2,a\n3,?\n', MissingValue),
+        ('1,"x\ny"\n2,a\n3\n', ParseError),
+        ("1,a\n\n2,b\nnan,a\n", ParseError),
+    ],
+    ids=["missing-after-quoted-newline", "ragged-after-quoted-newline", "after-blank-line"],
+)
+def test_parse_csv_errors_name_the_input_line(text, error):
+    # a record's line is the input line it starts on, not its record number
+    with pytest.raises(error) as err:
+        parse_csv(text, class_column=1)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "text", ["1,,a\n2,3,b\n", "1, ,a\n2,3,b\n", '1,"",a\n2,3,b\n', "1,2,\n3,4,b\n"],
+    ids=["empty", "blank", "quoted-empty", "empty-class"],
+)
+def test_parse_csv_empty_cell_is_a_missing_value(text):
+    with pytest.raises(MissingValue) as err:
+        parse_csv(text, class_column=2)
+    assert err.value.line == 1
+
+
 def test_parse_csv_mixed_column_is_nominal():
     d = parse_csv("1,a\n2,b\nx,a\n", class_column=1)
     assert d.attributes[0].is_nominal

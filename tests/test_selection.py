@@ -200,6 +200,21 @@ def test_random_pair_groups_similar_classes():
     assert votes[3][1] > votes[3][0]  # class 3 votes with class 2
 
 
+def test_random_pair_votes_count_instance_weight():
+    # class 2 has two unit-weight rows on class 0's side and one row of
+    # weight 5 on class 1's side: by weight it joins class 1, as it does
+    # when that row is repeated 5 times at weight 1
+    attrs = (AttributeSpec("x", None), AttributeSpec("c", ("a", "b", "c")))
+    pair_rows = [(-3.0, 0), (-2.8, 0), (-3.2, 0), (3.0, 1), (2.8, 1), (3.2, 1)]
+    third = [(-2.5, 2), (-2.6, 2)]
+    weighted = Dataset(attrs, pair_rows + third + [(2.5, 2)], 1, weights=[1.0] * 8 + [5.0])
+    repeated = Dataset(attrs, pair_rows + third + [(2.5, 2)] * 5, 1)
+    for d in (weighted, repeated):
+        decision = assign_by_pair([0, 1, 2], d, LogisticParams(), 0, 1)
+        assert (decision.s1, decision.s2) == ((0,), (1, 2))
+        assert decision.provenance.votes == ((2, 2.0, 5.0),)
+
+
 def test_random_pair_two_classes_no_training():
     rng = np.random.default_rng(8)
     decision = RANDOM_PAIR.select([4, 9], None, Exploding(), rng)
