@@ -34,7 +34,17 @@ threads.
 
 A dataset built from raw values also builds its attribute layout once,
 ``Dataset.layout``, and the datasets derived from it share that
-:class:`FeatureEncoder`.
+:class:`FeatureEncoder`.  They share its feature matrix as well, the
+layout's encoding of the raw values: it is made on first use, at most
+once (a run that fits only trees never makes it), and is read-only.  A
+derived dataset keeps, instead of a copy, the index of each of its rows
+in that matrix, and ``Dataset.features`` takes its rows from there, so
+no fit, centroid or vote re-encodes rows its dataset family already
+encoded.  Encoding a row does not depend on the other rows, so these
+rows are the bits ``layout.encode(d.values)`` would give.  A derived
+dataset keeps the matrix, and the raw values it is made from, alive.
+Predictions take rows through a :class:`Batch`, which checks and encodes
+them once for every node model they pass.
 
 Values are validated where they enter the program: ``parse_arff``,
 ``parse_csv`` and ``Dataset(...)`` check every value and weight, the
@@ -174,11 +184,85 @@ class FeatureEncoder:
         return out
 
 
+class Batch:
+    """Rows to predict, as the node models of one prediction share them:
+    the layout's row check runs once for the batch, and its encoding at
+    most once, for the first model that reads features.
+
+    ``Batch(rows)`` takes one row or a 2-D array of rows and checks
+    nothing yet.  ``Batch(rows, layout, features)`` takes rows that
+    ``layout`` has checked already and a function that returns their
+    feature matrix under it (see :meth:`Dataset.batch`).  A batch is also
+    array-like: ``np.asarray(batch)`` gives its rows, unchecked, so a
+    node model written for plain rows takes it as well."""
+
+    __slots__ = ("rows", "_layout", "_encode", "_features")
+
+    def __init__(self, rows, layout: FeatureEncoder | None = None, features=None):
+        self.rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        self._layout = layout  # the layout the rows passed the check of
+        self._encode = features
+        self._features = None
+
+    @classmethod
+    def of(cls, rows) -> "Batch":
+        """``rows`` itself when it is a batch, else a new batch of them."""
+        return rows if isinstance(rows, cls) else cls(rows)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.rows, dtype=dtype, copy=copy)
+
+    def checked(self, layout: FeatureEncoder) -> np.ndarray:
+        """The rows, once they pass ``layout``'s check."""
+        if layout is not self._layout:
+            layout.check(self.rows)
+            self._layout, self._encode, self._features = layout, None, None
+        return self.rows
+
+    def features(self, layout: FeatureEncoder) -> np.ndarray:
+        """The rows' feature matrix under ``layout``, checked and encoded
+        once; read it, do not write it."""
+        if layout is not self._layout:
+            self._layout, self._encode = layout, None
+            self._features = layout.encode(self.rows)
+        elif self._features is None:
+            self._features = self._encode() if self._encode else layout.encode(self.rows)
+        return self._features
+
+
+class _FeatureMatrix:
+    """The feature matrix of one dataset family: ``layout.encode`` of the
+    raw values of the dataset built from them, made on first use and
+    shared, read-only, by every dataset derived from it.  Two threads
+    that ask for it first at once may each make it; both get the same
+    bits."""
+
+    __slots__ = ("layout", "values", "matrix")
+
+    def __init__(self, layout: FeatureEncoder, values: np.ndarray):
+        self.layout = layout
+        self.values = values
+        self.matrix = None
+
+    def rows(self, index=None) -> np.ndarray:
+        """The whole matrix, or a copy of its rows ``index``."""
+        X = self.matrix
+        if X is None:
+            X = self.layout.encode(self.values)
+            X.flags.writeable = False
+            self.matrix = X
+        return X if index is None else X.take(index, axis=0)
+
+
 class Dataset:
     """Immutable table of instances with one nominal class attribute."""
 
     __slots__ = (
-        "attributes", "values", "weights", "class_attribute", "codes", "code_values", "layout"
+        "attributes", "values", "weights", "class_attribute", "codes", "code_values", "layout",
+        "_matrix", "_rows",
     )
 
     def __init__(
@@ -213,20 +297,29 @@ class Dataset:
         if np.any((labels != np.floor(labels)) | (labels < 0) | (labels >= len(cls_spec.values))):
             raise ValueError(f"class attribute {cls_spec.name!r}: undeclared label index")
         codes, code_values = _order_codes(values, layout.numeric)
-        self._fill(attributes, values, weights, codes, code_values, layout)
+        self._fill(
+            attributes, values, weights, codes, code_values, layout,
+            _FeatureMatrix(layout, values), None,
+        )
 
-    def _derive(self, attributes, values, weights, codes) -> "Dataset":
+    def _derive(self, attributes, values, weights, codes, rows) -> "Dataset":
         """A dataset of arrays sliced or copied from this one's, sharing its
-        code values and layout.  Trusted: this one was validated, so nothing
-        is checked again."""
+        code values, layout and feature matrix, whose rows ``rows`` it
+        holds.  Trusted: this one was validated, so nothing is checked
+        again."""
         d = object.__new__(Dataset)
-        d._fill(attributes, values, weights, codes, self.code_values, self.layout)
+        d._fill(
+            attributes, values, weights, codes, self.code_values, self.layout,
+            self._matrix, rows,
+        )
         return d
 
-    def _fill(self, attributes, values, weights, codes, code_values, layout):
+    def _fill(self, attributes, values, weights, codes, code_values, layout, matrix, rows):
         values.flags.writeable = False
         weights.flags.writeable = False
         codes.flags.writeable = False
+        if rows is not None:
+            rows.flags.writeable = False
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
@@ -234,6 +327,9 @@ class Dataset:
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "code_values", code_values)
         object.__setattr__(self, "layout", layout)
+        # None: this dataset's rows are the feature matrix's rows
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -269,6 +365,21 @@ class Dataset:
     def classes_present(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.class_counts() > 0).tolist())
 
+    def features(self, rows=None) -> np.ndarray:
+        """The feature matrix of the instances, or of the instances
+        ``rows``, from the matrix this dataset family shares: the bits of
+        ``layout.encode(values)`` (or of ``values[rows]``), without
+        encoding again.  Read it, do not write it."""
+        if self._rows is None:
+            return self._matrix.rows(rows)
+        return self._matrix.rows(self._rows if rows is None else self._rows[rows])
+
+    def batch(self, rows=None) -> Batch:
+        """The instances, or the instances ``rows``, as a prediction
+        batch: checked already, with :meth:`features` as their features."""
+        values = self.values if rows is None else self.values[rows]
+        return Batch(values, self.layout, lambda: self.features(rows))
+
     def __len__(self) -> int:
         return self.n_instances
 
@@ -288,17 +399,19 @@ class Dataset:
             if indices.size:
                 raise ValueError(f"subset indices must be integers, not {indices.dtype}")
             indices = indices.astype(np.intp)
+        rows = np.arange(self.n_instances) if self._rows is None else self._rows
         # take copies whole rows, several times faster than fancy indexing
         return self._derive(
             self.attributes,
             self.values.take(indices, axis=0),
             self.weights.take(indices),
             self.codes.take(indices, axis=0),
+            rows.take(indices),
         )
 
     def with_weights(self, weights) -> "Dataset":
         weights = _checked_weights(weights, self.n_instances)
-        return self._derive(self.attributes, self.values, weights, self.codes)
+        return self._derive(self.attributes, self.values, weights, self.codes, self._rows)
 
     def _class_table(self, class_ids) -> np.ndarray:
         """Boolean table over the declared classes, True at each of
@@ -325,7 +438,7 @@ class Dataset:
         )
         values = self.values.copy()
         values[:, self.class_attribute] = labels[self.class_indices()]
-        return self._derive(tuple(attrs), values, self.weights, self.codes)
+        return self._derive(tuple(attrs), values, self.weights, self.codes, self._rows)
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:
@@ -443,11 +556,14 @@ def parse_arff(text: str) -> Dataset:
     """Parse ARFF text into a Dataset.
 
     The class attribute is the last nominal attribute in declaration
-    order.  Raises ParseError / UnsupportedFeature / MissingValue with the
-    offending line number, EmptyInput when no data rows are present.
+    order.  Attribute names must differ: a name that repeats an earlier
+    one exactly is a ParseError at its line.  Raises ParseError /
+    UnsupportedFeature / MissingValue with the offending line number,
+    EmptyInput when no data rows are present.
     """
     attributes: list[AttributeSpec] = []
     decl_lines: list[int] = []
+    name_lines: dict[str, int] = {}  # each attribute name -> its declaration line
     saw_relation = False
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -461,7 +577,15 @@ def parse_arff(text: str) -> Dataset:
         if word == "@relation":
             saw_relation = True
         elif word == "@attribute":
-            attributes.append(_parse_attribute_decl(rest, lineno))
+            spec = _parse_attribute_decl(rest, lineno)
+            if spec.name in name_lines:
+                raise ParseError(
+                    lineno,
+                    f"attribute {spec.name!r} repeats the name declared on line "
+                    f"{name_lines[spec.name]}",
+                )
+            name_lines[spec.name] = lineno
+            attributes.append(spec)
             decl_lines.append(lineno)
         elif word == "@data":
             if not saw_relation:
@@ -612,7 +736,10 @@ def parse_csv(text: str, class_column: int, header: bool = False) -> Dataset:
     else (including the class column, always) is nominal with values
     ordered by first appearance.  NaN and infinite values raise
     ParseError; a missing value (``?``, or an empty or blank cell) raises
-    MissingValue.  Errors name the line that their record starts on.
+    MissingValue.  Errors name the line that their record starts on.  A
+    header must name every column, each with a name of its own: an empty
+    or repeated name, or a header of another width than the rows, is a
+    ParseError at the header line.
     """
     import csv as _csv
     import io
@@ -632,12 +759,21 @@ def parse_csv(text: str, class_column: int, header: bool = False) -> Dataset:
 
     names = None
     if header:
-        names = [c.strip() for c in raw_rows[0][1]]
-        raw_rows = raw_rows[1:]
+        (header_line, names), *raw_rows = raw_rows
+        names = [c.strip() for c in names]
+        for j, name in enumerate(names):
+            if not name:
+                raise ParseError(header_line, f"column {j} has an empty name")
+            if name in names[:j]:
+                raise ParseError(
+                    header_line, f"column name {name!r} repeats column {names.index(name)}"
+                )
         if not raw_rows:
             raise EmptyInput("CSV input has a header but no data rows")
 
     width = len(raw_rows[0][1])
+    if names is not None and len(names) != width:
+        raise ParseError(header_line, f"header has {len(names)} names for {width} fields")
     for lineno, row in raw_rows:
         if len(row) != width:
             raise ParseError(lineno, f"expected {width} fields, found {len(row)}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset
+from .data import Batch, Dataset
 from .errors import NDError, TrainingError
 from .learners import ConstantModel, LearnerParams, fit_binary_model
 from .seeds import node_rng
@@ -72,17 +72,20 @@ class NestedDichotomy(MultiClassModel):
     # -- prediction ----------------------------------------------------
 
     def predict_distribution_batch(self, rows) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        out = np.zeros((rows.shape[0], self.n_classes))
+        """Class probabilities of ``rows``, which every node model takes as
+        one :class:`Batch`: checked once, and encoded once if any node
+        model reads features."""
+        batch = Batch.of(rows)
+        out = np.zeros((len(batch), self.n_classes))
         # an explicit stack, left subtree first: a recursive closure would be
         # a reference cycle holding ``out`` until the cyclic collector runs
-        stack = [(self.root, np.ones(rows.shape[0]))]
+        stack = [(self.root, np.ones(len(batch)))]
         while stack:
             node, mass = stack.pop()
             if node.is_leaf:
                 out[:, node.class_subset[0]] = mass
                 continue
-            p = node.model.predict_prob_batch(rows)
+            p = node.model.predict_prob_batch(batch)
             stack.append((node.right, mass * (1.0 - p)))
             stack.append((node.left, mass * p))
         return out

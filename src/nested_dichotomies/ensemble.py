@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, bootstrap_sample, weighted_resample
+from .data import Batch, Dataset, bootstrap_sample, weighted_resample
 from .errors import AllMembersRejected
 from .dichotomy import MultiClassModel, NestedDichotomy, build_nd
 from .learners import LearnerParams
@@ -63,17 +63,19 @@ class EnsembleModel(MultiClassModel):
         return self.members[0].n_classes
 
     def predict_distribution_batch(self, rows) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        # every member takes one batch: the rows are checked and encoded once
+        batch = Batch.of(rows)
+        n = len(batch)
         w = self.member_weights
         if self.combiner == "average_distribution":
-            acc = np.zeros((rows.shape[0], self.n_classes))
+            acc = np.zeros((n, self.n_classes))
             for member, wm in zip(self.members, w):
-                acc += wm * member.predict_distribution_batch(rows)
+                acc += wm * member.predict_distribution_batch(batch)
             return acc / w.sum()
-        votes = np.zeros((rows.shape[0], self.n_classes))
+        votes = np.zeros((n, self.n_classes))
         for member, wm in zip(self.members, w):
-            picks = member.predict_class_batch(rows)
-            votes[np.arange(rows.shape[0]), picks] += wm
+            picks = member.predict_class_batch(batch)
+            votes[np.arange(n), picks] += wm
         return votes / w.sum()
 
     def to_model_text(self) -> str:
@@ -147,6 +149,8 @@ def _boosted(
     class_ids = d.classes_present()
     y = d.class_indices()
     base_w = d.weights  # dataset weights stay fixed; boosting keeps its own
+    # every member predicts the training rows from the one feature matrix
+    training_rows = d.batch()
 
     weights = np.ones(n)  # boosting weights, renormalized to sum n
     members: list[NestedDichotomy] = []
@@ -160,7 +164,7 @@ def _boosted(
         member = build_nd(
             sample, strategy, learner, child_seed(seed, attempt, 0), class_ids=class_ids
         )
-        predicted = member.predict_class_batch(d.values)
+        predicted = member.predict_class_batch(training_rows)
         mis = predicted != y
         eff = base_w * weights
         error = float(eff[mis].sum() / eff.sum())

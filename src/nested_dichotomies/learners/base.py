@@ -1,6 +1,8 @@
 """Shared learner machinery: option checks and the two-class
 probabilistic model interface used at every dichotomy node.  Rows are
-checked and encoded by the dataset's layout, :class:`FeatureEncoder`."""
+checked and encoded by the dataset's layout, :class:`FeatureEncoder`,
+through a :class:`Batch`, so that the node models of one prediction
+check and encode its rows once between them."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import operator
 
 import numpy as np
 
-from ..data import Dataset, FeatureEncoder
+from ..data import Batch, Dataset, FeatureEncoder
 from ..errors import InvalidParam, SingleClass
 
 
@@ -38,8 +40,9 @@ class BinaryModel:
     #: original class indices (first, second) this model discriminates
     class_pair: tuple[int, int] = (0, 1)
 
-    def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
-        """P(first class) for each of ``rows``: one row or a 2-D array."""
+    def predict_prob_batch(self, rows) -> np.ndarray:
+        """P(first class) for each of ``rows``: one row, a 2-D array or a
+        :class:`Batch` shared with other node models."""
         raise NotImplementedError
 
     def to_lines(self) -> list[str]:
@@ -59,10 +62,8 @@ class ConstantModel(BinaryModel):
         self.p_first = float(p_first)
         self.layout = layout
 
-    def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        self.layout.check(rows)
-        return np.full(rows.shape[0], self.p_first)
+    def predict_prob_batch(self, rows) -> np.ndarray:
+        return np.full(len(Batch.of(rows).checked(self.layout)), self.p_first)
 
     def to_lines(self) -> list[str]:
         return [f"constant p_first={self.p_first!r}"]

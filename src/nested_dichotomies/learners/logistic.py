@@ -23,7 +23,7 @@ try:
 except ImportError:  # numpy's private module layout moved: use the wrapper
     _solve1 = None
 
-from ..data import Dataset
+from ..data import Batch, Dataset
 from ..errors import DidNotConverge, InvalidParam
 from .base import BinaryModel, binary_class_info, check_count
 
@@ -98,7 +98,7 @@ def _grad_at(
     r = np.subtract(p, target, out=work)
     r *= sample_weights
     g = np.empty_like(beta) if out is None else out
-    g[0] = r.sum()
+    g[0] = np.add.reduce(r)
     np.matmul(X.T, r, out=g[1:])
     g += ridge * beta
     return g
@@ -112,20 +112,42 @@ def _column_sums(A, out) -> np.ndarray:
     return A.sum(axis=0, out=out)
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
+class _SingularFlag:
+    """The error-state call handler of one fit: an invalid-value signal
+    sets ``raised``.  The LAPACK gufunc behind ``np.linalg.solve`` signals
+    invalid when its matrix is singular, and nothing else."""
+
+    __slots__ = ("raised",)
+
+    def __init__(self):
+        self.raised = False
+
+    def __call__(self, err, flag):
+        self.raised = True
 
 
-def _solve(hess, rhs) -> np.ndarray:
+def _fit_errstate(singular: _SingularFlag):
+    """The error state a fit runs under: overflow ignored, and an invalid
+    value handed to ``singular`` instead of a warning."""
+    return np.errstate(call=singular, invalid="call", over="ignore")
+
+
+def _solve(hess, rhs, singular: _SingularFlag) -> np.ndarray:
     """``np.linalg.solve(hess, rhs)`` for a float64 square ``hess`` and a
-    1-D ``rhs``: the LAPACK gufunc it calls, under the error state it
-    sets, so that a singular ``hess`` raises ``LinAlgError`` as it does
-    there.  numpy without the gufunc takes ``np.linalg.solve`` itself."""
+    1-D ``rhs``: the LAPACK gufunc it calls, run under
+    ``_fit_errstate(singular)``, so that a singular ``hess`` raises
+    ``LinAlgError`` as it does there.  The gufunc signals a singular
+    ``hess`` to ``singular``, whose flag is reset just before the call, so
+    that a signal from any other operation of the fit cannot count.  numpy
+    without the gufunc takes ``np.linalg.solve`` itself, which sets its
+    own error state."""
     if _solve1 is None:
         return np.linalg.solve(hess, rhs)
-    with np.errstate(call=_raise_singular, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        return _solve1(hess, rhs, signature="dd->d")
+    singular.raised = False
+    step = _solve1(hess, rhs, signature="dd->d")
+    if singular.raised:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return step
 
 
 def penalized_nll(beta, X, target, sample_weights, ridge) -> float:
@@ -155,8 +177,8 @@ class LogisticModel(BinaryModel):
         self.iterations = int(iterations)
         self.converged = bool(converged)
 
-    def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
-        X = self.layout.encode(rows)
+    def predict_prob_batch(self, rows) -> np.ndarray:
+        X = Batch.of(rows).features(self.layout)
         return _sigmoid(X @ self.weights + self.intercept)
 
     def to_lines(self) -> list[str]:
@@ -182,14 +204,21 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
     tolerance; returned weights are in the original basis.  Raises
     DidNotConverge (carrying the partial model) at the iteration cap.
 
-    Each call allocates one workspace after standardization: the
-    curvature-weighted design ``Xc``, the Hessian, the gradient and the
-    n-length vectors (the linear predictor and the line search's
-    candidate one, the probabilities, the curvature, the residual and two
-    loss temporaries).  Every iteration rebuilds all of them in place,
-    with the same operations in the same order as freshly allocated
-    arrays would take, so a fit's bits do not depend on it.  Three
-    choices keep those bits off numpy's slow paths:
+    The rows come from the feature matrix that the dataset's family
+    shares (:meth:`Dataset.features`), not from a new encoding.  Each
+    call allocates one workspace after standardization: the
+    curvature-weighted design ``Xc``, the Hessian, the gradient, its
+    negation and its absolute values, and the n-length vectors (the
+    linear predictor and the line search's candidate one, the
+    probabilities, the curvature, the residual and two loss
+    temporaries), with the views the iterations write through (``X.T``,
+    ``curv[:, None]`` and the Hessian's intercept row, intercept column
+    and feature block).  Every iteration rebuilds them in place, with the
+    same operations in the same order as freshly allocated arrays would
+    take, so a fit's bits do not depend on it.  Sums and maxima call
+    ``np.add.reduce`` and ``np.maximum.reduce``, the reductions that
+    ``.sum()`` and ``.max()`` wrap.  Three choices keep those bits off
+    numpy's slow paths:
 
     - The Hessian's intercept row, the column sums of ``Xc``, comes from
       ``einsum("ij->j")``.  ``Xc.sum(axis=0)`` on a C-ordered ``Xc`` adds
@@ -199,17 +228,21 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
       column pairwise, and einsum would add it sequentially, which
       rounds differently.
     - The Newton system is solved by the LAPACK gufunc behind
-      ``np.linalg.solve`` (:func:`_solve`), under the error state that
-      ``np.linalg.solve`` sets, so a singular Hessian raises
-      ``LinAlgError`` and falls back to ``lstsq`` in exactly the cases
-      where ``np.linalg.solve`` would.
+      ``np.linalg.solve`` (:func:`_solve`).  The whole fit runs under one
+      error state, entered once per fit rather than once per solve: it
+      ignores overflow, and hands an invalid-value signal to a call
+      handler that sets a flag.  The flag is reset just before each
+      solve and read just after it, so a singular Hessian, which the
+      gufunc signals as invalid, falls back to ``lstsq`` in exactly the
+      cases where ``np.linalg.solve`` would raise ``LinAlgError``.
     """
     lo, hi, target = binary_class_info(d)
-    raw = d.layout.encode(d.values)
+    raw = d.features()
     m = d.weights
+    add, largest = np.add.reduce, np.maximum.reduce
 
     # Standardize with weighted moments; constant columns keep scale 1.
-    total = m.sum()
+    total = add(m)
     mu = (m @ raw) / total
     X = raw - mu
     var = (m @ X**2) / total
@@ -222,13 +255,18 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
     # ridge on original-basis weights w = ws / scale
     ridge_diag = np.concatenate(([0.0], params.ridge / scale**2))
     complement = 1.0 - target
+    tolerance = params.gradient_tolerance
 
-    # the per-fit workspace; hess_diag is a strided view of the diagonal
+    # the per-fit workspace and the views the iterations write through;
+    # hess_diag is a strided view of the diagonal
+    XT = X.T
     Xc = np.empty_like(X)
     hess = np.empty((p_dim, p_dim))
+    hess_row, hess_col, hess_block = hess[0, 1:], hess[1:, 0], hess[1:, 1:]
     hess_diag = hess.reshape(-1)[:: p_dim + 1]
-    g = np.empty(p_dim)
+    g, neg_g, g_abs = np.empty(p_dim), np.empty(p_dim), np.empty(p_dim)
     z, cand_z, p, curv, resid = (np.empty_like(target) for _ in range(5))
+    curv_col = curv[:, None]
     loss_work = (np.empty_like(target), np.empty_like(target))
 
     # One linear predictor and one sigmoid per iterate: the accepted line
@@ -239,16 +277,18 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
     iterations = 0
     converged = False
     stationary_streak = 0
+    singular = _SingularFlag()
     # A step from a singular Hessian (no ridge on the intercept) can send a
     # candidate's coefficients past 1e154, where ``beta * beta`` overflows
     # and the objective turns inf or NaN.  The line search rejects such a
-    # candidate (``NaN < obj`` is false), so only the warning is silenced,
-    # once per fit rather than per objective call.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # candidate (``NaN < obj`` is false), so the overflow is silenced, once
+    # per fit rather than per objective call, and an invalid value only
+    # sets the flag, which the next solve resets.
+    with _fit_errstate(singular):
         for iterations in range(1, params.max_iterations + 1):
             _sigmoid(z, out=p)
             _grad_at(p, beta, X, target, m, ridge_diag, out=g, work=resid)
-            if np.abs(g).max() <= params.gradient_tolerance:
+            if largest(np.absolute(g, out=g_abs)) <= tolerance:
                 converged = True
                 iterations -= 1
                 break
@@ -257,16 +297,17 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
             curv *= p
             np.maximum(curv, 1e-12, out=curv)
             curv *= m
-            np.multiply(X, curv[:, None], out=Xc)
-            hess[0, 0] = curv.sum()
-            _column_sums(Xc, out=hess[0, 1:])
-            hess[1:, 0] = hess[0, 1:]
-            np.matmul(X.T, Xc, out=hess[1:, 1:])
+            np.multiply(X, curv_col, out=Xc)
+            hess[0, 0] = add(curv)
+            _column_sums(Xc, out=hess_row)
+            hess_col[:] = hess_row
+            np.matmul(XT, Xc, out=hess_block)
             hess_diag += ridge_diag
+            np.negative(g, out=neg_g)
             try:
-                step = _solve(hess, -g)
+                step = _solve(hess, neg_g, singular)
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, -g, rcond=None)[0]
+                step = np.linalg.lstsq(hess, neg_g, rcond=None)[0]
 
             # alpha = 1 first: 1.0 * step is step, bit for bit
             cand = beta + step
@@ -298,7 +339,7 @@ def fit_logistic(d: Dataset, params: LogisticParams = LogisticParams()) -> Logis
         else:
             _sigmoid(z, out=p)
             _grad_at(p, beta, X, target, m, ridge_diag, out=g, work=resid)
-            converged = np.abs(g).max() <= params.gradient_tolerance
+            converged = largest(np.absolute(g, out=g_abs)) <= tolerance
 
     weights = beta[1:] / scale
     intercept = beta[0] - float(weights @ mu)

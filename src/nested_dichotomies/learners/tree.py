@@ -75,7 +75,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..data import Dataset
+from ..data import Batch, Dataset
 from ..errors import InvalidParam
 from .base import BinaryModel, binary_class_info, check_count
 
@@ -165,9 +165,8 @@ class TreeModel(BinaryModel):
         self.layout = layout
         self.class_pair = tuple(class_pair)
 
-    def predict_prob_batch(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        self.layout.check(rows)
+    def predict_prob_batch(self, rows) -> np.ndarray:
+        rows = Batch.of(rows).checked(self.layout)
         out = np.empty(rows.shape[0])
         stack = [(self.root, np.arange(rows.shape[0]))]
         while stack:

@@ -86,7 +86,7 @@ def _select_class_balanced(ids: list[int], rng: np.random.Generator) -> SplitDec
 def _class_means(d: Dataset, class_ids) -> dict[int, np.ndarray]:
     """The weighted mean encoded row of each class in ``class_ids``, each
     of which has instances in ``d``."""
-    X = d.layout.encode(d.values)
+    X = d.features()
     y = d.class_indices()
     w = d.weights
     means = {}
@@ -171,7 +171,8 @@ def assign_by_pair(
             continue
         rows = np.flatnonzero(y == c)
         if rows.size:
-            hit = model.predict_prob_batch(d.values[rows]) >= 0.5  # 0.5 -> first class
+            # one batch per class: a merged batch rounds some rows differently
+            hit = model.predict_prob_batch(d.batch(rows)) >= 0.5  # 0.5 -> first class
             w = d.weights[rows]
             v1, v2 = float(w[hit].sum()), float(w[~hit].sum())
         else:

@@ -139,3 +139,30 @@ def layouts_built(monkeypatch):
 
     monkeypatch.setattr(FeatureEncoder, "__init__", recording)
     return made
+
+
+def _recorded(monkeypatch, name):
+    """The row count of every call of ``FeatureEncoder.<name>`` while the
+    test runs, in order."""
+    calls = []
+    method = getattr(FeatureEncoder, name)
+
+    def recording(self, rows):
+        calls.append(np.atleast_2d(rows).shape[0])
+        return method(self, rows)
+
+    monkeypatch.setattr(FeatureEncoder, name, recording)
+    return calls
+
+
+@pytest.fixture()
+def encodes(monkeypatch):
+    """Rows of each ``FeatureEncoder.encode`` call, in order."""
+    return _recorded(monkeypatch, "encode")
+
+
+@pytest.fixture()
+def checks(monkeypatch):
+    """Rows of each ``FeatureEncoder.check`` call (``encode`` makes one
+    too), in order."""
+    return _recorded(monkeypatch, "check")

@@ -7,6 +7,7 @@ from scipy import stats
 from conftest import DATASETS_DIR, gaussian_dataset, load_uci, serialize_arff
 from nested_dichotomies.data import (
     AttributeSpec,
+    Batch,
     Dataset,
     _parse_data_row,
     _strip_comment,
@@ -168,8 +169,11 @@ def _arff_tokens():
 
 @st.composite
 def _arff_datasets(draw):
+    names = set()  # ARFF attribute names must differ
+
     def attribute(nominal):
-        name = draw(_arff_tokens())
+        name = draw(_arff_tokens().filter(lambda t: t not in names))
+        names.add(name)
         if not nominal:
             return AttributeSpec(name)
         values = draw(st.lists(_arff_tokens(), min_size=2, max_size=4, unique=True))
@@ -456,6 +460,51 @@ def test_single_label_class_is_a_parse_error(parse, text, line):
     assert err.value.reason.endswith("has only the label 'b'; at least 2 are needed")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("@relation r\n@attribute x numeric\n@attribute x real\n@attribute c {a,b}\n"
+         "@data\n1,2,a\n", 3),
+        ("@relation r\n@attribute 'x y' numeric\n@attribute c {a,b}\n"
+         "@attribute \"x y\" {p,q}\n@data\n1,a,p\n", 4),
+        ("@relation r\n@attribute c {a,b}\n@attribute x numeric\n@attribute c {a,b}\n"
+         "@data\na,1,b\n", 4),
+    ],
+    ids=["numeric", "quoted", "class-name"],
+)
+def test_parse_arff_rejects_a_repeated_attribute_name(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_arff(text)
+    assert err.value.line == line
+    assert "repeats the name declared on line" in err.value.reason
+
+
+def test_parse_arff_attribute_names_differ_by_case():
+    d = parse_arff("@relation r\n@attribute x numeric\n@attribute X numeric\n"
+                   "@attribute c {a,b}\n@data\n1,2,a\n3,4,b\n")
+    assert [a.name for a in d.attributes] == ["x", "X", "c"]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("x,x,c\n1,2,a\n3,4,b\n", "column name 'x' repeats column 0"),
+        ("x, x ,c\n1,2,a\n3,4,b\n", "column name 'x' repeats column 0"),
+        ("x,y,\n1,2,a\n3,4,b\n", "column 2 has an empty name"),
+        ("x, ,c\n1,2,a\n3,4,b\n", "column 1 has an empty name"),
+        ("x,c\n1,2,a\n3,4,b\n", "header has 2 names for 3 fields"),
+        ("x,y,z,c\n1,2,a\n3,4,b\n", "header has 4 names for 3 fields"),
+    ],
+    ids=["repeated", "repeated-after-strip", "empty", "blank", "short", "long"],
+)
+def test_parse_csv_header_names_each_column_once(text, reason):
+    # the header is line 2 behind a blank line: the error names its line
+    with pytest.raises(ParseError) as err:
+        parse_csv("\n" + text, class_column=-1, header=True)
+    assert err.value.line == 2
+    assert err.value.reason == reason
+
+
 # -- dataset invariants ------------------------------------------------
 
 
@@ -535,6 +584,98 @@ def test_derived_datasets_share_the_layout():
     assert layout.nominal_counts == tuple(len(d.attributes[j].values) for j in layout.nominal)
     # a dataset built from raw values builds its own
     assert Dataset(d.attributes, d.values, d.class_attribute).layout is not layout
+
+
+def _assert_features_are_the_encoding(d):
+    encoded = d.layout.encode(d.values)
+    assert d.features().tobytes() == encoded.tobytes()
+    assert d.features().shape == encoded.shape
+    rows = np.arange(d.n_instances)[::3]
+    assert d.features(rows).tobytes() == encoded[rows].tobytes()
+    assert d.batch(rows).features(d.layout).tobytes() == encoded[rows].tobytes()
+
+
+def test_a_dataset_encodes_its_features_once_on_first_use(encodes):
+    zoo = parse_arff((DATASETS_DIR / "zoo.arff").read_text())
+    assert encodes == []  # parsing does not encode
+    derived = zoo.subset([5, 0, 5, -1]).relabel_binary([0]).with_weights(np.full(4, 0.5))
+    first = derived.features()
+    assert encodes == [zoo.n_instances]  # the family's matrix, made once
+    assert first.tobytes() == zoo.layout.encode(zoo.values[[5, 0, 5, -1]]).tobytes()
+    encodes.clear()
+    assert zoo.features().tobytes() == zoo.layout.encode(zoo.values).tobytes()
+    zoo.restrict_to_classes([1, 2]).features()
+    bootstrap_sample(zoo, 4).features([0, 1])
+    assert encodes == [zoo.n_instances]  # the check's own encode only
+    assert not zoo.features().flags.writeable
+
+
+@pytest.mark.parametrize("learner", ["logistic", "tree"])
+def test_every_derived_dataset_of_a_build_views_the_family_matrix(learner, encodes, monkeypatch):
+    # a fresh family: its matrix is made once, by the first logistic fit or
+    # centroid, and never while trees alone are fitted
+    from nested_dichotomies.dichotomy import build_nd
+    from nested_dichotomies.ensemble import (
+        build_adaboost_ensemble,
+        build_bagged_ensemble,
+        build_multiboost_ensemble,
+    )
+    from nested_dichotomies.learners import LogisticParams, TreeParams
+    from nested_dichotomies.selection import SubsetSelector
+
+    zoo = parse_arff((DATASETS_DIR / "zoo.arff").read_text())
+    params = LogisticParams() if learner == "logistic" else TreeParams()
+    derived = []
+    derive = Dataset._derive
+
+    def recording(self, *args):
+        d = derive(self, *args)
+        derived.append(d)
+        return d
+
+    monkeypatch.setattr(Dataset, "_derive", recording)
+    train, _ = train_test_split(zoo, stratified_folds(zoo, 3, 1, 0), 0, 1)
+    for strategy in ("random_pair", "centroid"):
+        selector = SubsetSelector(strategy)
+        build_nd(train, selector, params, 1)
+        build_bagged_ensemble(train, selector, params, 2, 2)
+        build_adaboost_ensemble(train, selector, params, 2, 3)
+        build_multiboost_ensemble(train, selector, params, 3, 4)
+        if strategy == "random_pair":
+            assert encodes == ([zoo.n_instances] if learner == "logistic" else [])
+    assert encodes == [zoo.n_instances]
+    monkeypatch.undo()
+    assert len(derived) > 100
+    for d in derived:
+        assert d.layout is zoo.layout
+        _assert_features_are_the_encoding(d)
+    for d in (bootstrap_sample(train, 5), weighted_resample(train, train.weights, 30, 6)):
+        _assert_features_are_the_encoding(d)
+
+
+def test_batch_checks_and_encodes_once_per_layout(zoo, encodes, checks):
+    batch = Batch(zoo.values[:4])
+    assert Batch.of(batch) is batch
+    assert len(batch) == 4 and np.asarray(batch).tobytes() == zoo.values[:4].tobytes()
+    assert batch.checked(zoo.layout) is batch.rows
+    X = batch.features(zoo.layout)
+    assert batch.features(zoo.layout) is X
+    assert batch.checked(zoo.layout) is batch.rows
+    assert X.tobytes() == zoo.layout.encode(zoo.values[:4]).tobytes()
+    assert (checks, encodes) == ([4, 4, 4], [4, 4])  # check, encode, the reference
+    # another layout checks and encodes the rows again
+    other = Dataset(zoo.attributes, zoo.values, zoo.class_attribute).layout
+    assert batch.features(other).tobytes() == X.tobytes()
+    assert encodes == [4, 4, 4]
+    # a dataset's batch is checked already and encodes nothing once its
+    # family's matrix is made
+    zoo.features()
+    checks.clear()
+    encodes.clear()
+    rows = np.array([3, 1, 4])
+    assert zoo.batch(rows).features(zoo.layout).tobytes() == zoo.features(rows).tobytes()
+    zoo.batch(rows).checked(zoo.layout)
+    assert (checks, encodes) == ([], [])
 
 
 @pytest.mark.parametrize(

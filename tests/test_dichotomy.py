@@ -511,6 +511,40 @@ def test_build_restricts_once_per_non_root_node(zoo, monkeypatch):
     ).to_model_text()
 
 
+def _per_node_distribution(nd, rows):
+    """The product rule over each node model's own ``predict_prob_batch``
+    of the raw ``rows``, the way of a prediction that shares no batch."""
+    out = np.zeros((len(rows), nd.n_classes))
+
+    def walk(node, mass):
+        if node.is_leaf:
+            out[:, node.class_subset[0]] = mass
+            return
+        p = node.model.predict_prob_batch(rows)
+        walk(node.left, mass * p)
+        walk(node.right, mass * (1.0 - p))
+
+    walk(nd.root, np.ones(len(rows)))
+    return out
+
+
+@pytest.mark.parametrize("learner", [LogisticParams(), TreeParams()], ids=["logistic", "tree"])
+@pytest.mark.parametrize("strategy", ["random_pair", "centroid", "random"])
+def test_prediction_checks_and_encodes_a_batch_once(zoo, learner, strategy, encodes, checks):
+    # classes without rows: some nodes get constant models
+    sample = bootstrap_sample(zoo, 2).restrict_to_classes(range(4))
+    nd = build_nd(sample, SubsetSelector(strategy), learner, 5, class_ids=range(zoo.n_classes))
+    kinds = {node.model.kind for node in nd.internal_nodes()}
+    assert "constant" in kinds
+    rows = zoo.values[::2]
+    expected = _per_node_distribution(nd, rows)
+    encodes.clear()
+    checks.clear()
+    assert nd.predict_distribution_batch(rows).tobytes() == expected.tobytes()
+    assert checks == [len(rows)]
+    assert encodes == ([len(rows)] if "logistic" in kinds else [])
+
+
 def test_constant_models_check_rows_as_every_learner_does(zoo):
     nd = build_nd(zoo, SubsetSelector("random"), LogisticParams(), 0, structure_only=True)
     assert all(isinstance(node.model, ConstantModel) for node in nd.internal_nodes())

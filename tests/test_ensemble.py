@@ -307,3 +307,23 @@ def test_bagged_build_builds_no_layout_beyond_the_parsed_one(layouts_built):
     ens = build_bagged_ensemble(d, strategy, LogisticParams(max_iterations=1000), 3, seed=1)
     ens.predict_distribution_batch(d.values[:50])
     assert layouts_built == [d.layout]
+
+
+@pytest.mark.parametrize(
+    "build", [build_bagged_ensemble, build_adaboost_ensemble], ids=["average", "vote"]
+)
+def test_members_share_one_checked_and_encoded_batch(build, zoo, encodes, checks):
+    ens = build(zoo, SubsetSelector("random_pair"), LogisticParams(), 3, 8)
+    rows = zoo.values[1::3]
+    # each member on the raw rows, as a prediction that shares no batch
+    expected = np.zeros((len(rows), zoo.n_classes))
+    for member, wm in zip(ens.members, ens.member_weights):
+        if ens.combiner == "average_distribution":
+            expected += wm * member.predict_distribution_batch(rows)
+        else:
+            expected[np.arange(len(rows)), member.predict_class_batch(rows)] += wm
+    expected /= ens.member_weights.sum()
+    encodes.clear()
+    checks.clear()
+    assert ens.predict_distribution_batch(rows).tobytes() == expected.tobytes()
+    assert (encodes, checks) == ([len(rows)], [len(rows)])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_dataset, simple_dataset
-from nested_dichotomies.data import AttributeSpec, Dataset
+from nested_dichotomies.data import AttributeSpec, Dataset, bootstrap_sample
 from nested_dichotomies.errors import (
     DidNotConverge,
     EncodingMismatch,
@@ -16,7 +16,9 @@ from nested_dichotomies.errors import (
 from nested_dichotomies.learners import LogisticParams, fit_logistic, logistic
 from nested_dichotomies.learners.base import FeatureEncoder, binary_class_info
 from nested_dichotomies.learners.logistic import (
+    _SingularFlag,
     _column_sums,
+    _fit_errstate,
     _grad_at,
     _linear,
     _nll_at,
@@ -406,15 +408,19 @@ def test_single_pass_newton_matches_two_pass_reference(problem):
     _assert_fits_bit_equal(*problem)
 
 
-def test_overflowing_candidate_is_rejected_without_a_warning():
+def _overflowing_candidate_data():
     # ridge 0 and a column that is zero but for 5e-195 on one row: the
-    # Hessian is singular, lstsq's step puts a coefficient near 1.7e178,
-    # and that candidate's ``beta * beta`` overflows
+    # first step puts a coefficient near 1.7e178, and that candidate's
+    # ``beta * beta`` overflows
     attrs = [AttributeSpec("class", ("a", "b")), AttributeSpec("x0"), AttributeSpec("x1")]
     values = np.zeros((12, 3))
     values[0, 0] = 1.0
     values[11, 1:] = (5.132107238301358e-195, 1.0)
-    d = Dataset(attrs, values, 0, weights=np.full(12, 0.1))
+    return Dataset(attrs, values, 0, weights=np.full(12, 0.1))
+
+
+def test_overflowing_candidate_is_rejected_without_a_warning():
+    d = _overflowing_candidate_data()
     params = LogisticParams(ridge=0.0, max_iterations=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -429,6 +435,28 @@ def test_single_pass_newton_matches_reference_on_vowel(vowel, pair):
         LogisticParams(ridge=0.0, max_iterations=1, gradient_tolerance=1e-14),
     ):
         _assert_fits_bit_equal(d, params)
+
+
+@pytest.mark.parametrize(
+    "name, pair",
+    [("vowel", (0, 1)), ("vowel", (2, 7)), ("zoo", (0, 1))],
+    ids=["vowel-0-1", "vowel-2-7", "zoo-0-1"],
+)
+def test_fit_on_a_bare_dataset_equals_the_fit_through_a_derived_one(name, pair, request):
+    # a derived dataset takes its rows from its family's feature matrix, a
+    # bare one encodes its own on first use: the same bits either way
+    family = request.getfixturevalue(name)
+    resampled = bootstrap_sample(family, 5)  # repeated rows
+    for derived in (family.restrict_to_classes(pair),
+                    resampled.restrict_to_classes(pair).relabel_binary({pair[0]})):
+        bare = Dataset(derived.attributes, derived.values, derived.class_attribute,
+                       weights=derived.weights)
+        for params in (LogisticParams(max_iterations=1000), LogisticParams(ridge=1e-3)):
+            w, b, iterations, converged = _fit_result(derived, params)
+            bare_w, bare_b, bare_iterations, bare_converged = _fit_result(bare, params)
+            assert w.tobytes() == bare_w.tobytes()
+            assert np.float64(b).tobytes() == np.float64(bare_b).tobytes()
+            assert (iterations, converged) == (bare_iterations, bare_converged)
 
 
 def _singular_fit_calls(monkeypatch):
@@ -466,7 +494,64 @@ def _singular_fit_calls(monkeypatch):
 
 
 def test_singular_hessian_falls_back_to_lstsq(monkeypatch):
-    assert _singular_fit_calls(monkeypatch)[0].iterations == 5
+    model, lstsq_calls = _singular_fit_calls(monkeypatch)
+    assert (model.iterations, lstsq_calls) == (5, 5)
+
+
+def _invalid_gradient_data():
+    # a column of values near 1e-161 has a variance that underflows, so its
+    # ridge 1e-8 / scale**2 is inf, and the gradient's ``ridge * beta`` is
+    # inf * 0 = NaN: an invalid value raised before the first solve, whose
+    # Hessian LAPACK does not find singular
+    x = [0.12493983658494168, 49.69661933910693, -0.16105523783700182,
+         49.7626846116459, -0.3665575184483798, 49.99994457590874,
+         0.21887576739371306, 0.01286331812819902]
+    tiny = [-6.699737611911385e-162, -1.3481033627983054e-161, 1.9280959159459827e-162,
+            1.2339665620843829e-161, 1.6181941528990786e-161, 1.1196692172865295e-161,
+            1.3209773262588657e-161, -2.1059937510583143e-162]
+    label = [0, 1, 0, 1, 0, 1, 0, 0]
+    attrs = [AttributeSpec("x0"), AttributeSpec("x1"), AttributeSpec("c", ("a", "b"))]
+    return Dataset(attrs, np.column_stack([x, tiny, label]).astype(float), 2)
+
+
+def _counted_lstsq_fit(d, params, monkeypatch):
+    """``(model, lstsq calls)`` of one fit, with the standardization's
+    overflow warnings, which the fit's error state does not cover, off."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = fit_logistic(d, params)
+    return model, len(calls)
+
+
+@pytest.mark.parametrize("solver", ["solve1", "linalg_solve"])
+@pytest.mark.parametrize(
+    "data, params, expected",
+    [
+        (_overflowing_candidate_data, LogisticParams(ridge=0.0, max_iterations=1), (1, 0)),
+        (_overflowing_candidate_data, LogisticParams(ridge=0.0), (1, 0)),
+        (_invalid_gradient_data, LogisticParams(max_iterations=1000), (1, 0)),
+    ],
+    ids=["overflow-one-iteration", "overflow", "invalid-gradient"],
+)
+def test_invalid_values_outside_the_solve_do_not_reach_lstsq(
+    data, params, expected, solver, monkeypatch
+):
+    # each fit raises an invalid value outside its solve (an overflowed
+    # candidate's objective, an inf * 0 gradient); only a singular solve
+    # may route a step to lstsq, so the counts stay those of a fit that
+    # opened an error state per solve
+    if solver == "linalg_solve":
+        _use_linalg_solve(monkeypatch)
+    model, lstsq_calls = _counted_lstsq_fit(data(), params, monkeypatch)
+    assert (model.iterations, lstsq_calls) == expected
+    assert model.converged
 
 
 # -- the LAPACK binding and the in-place helpers --------------------------------
@@ -517,16 +602,34 @@ def test_linalg_solve_fallback_matches_two_pass_reference(problem):
 
 def test_solve_matches_linalg_solve_and_raises_on_singular():
     rng = np.random.default_rng(11)
-    for size in (1, 2, 3, 11, 20, 65):
-        A = rng.normal(size=(size, size)) + size * np.eye(size)
-        b = rng.normal(size=size)
-        assert _solve(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
-    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
-    for matrix in (singular, np.zeros((3, 3))):
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(matrix, np.ones(3))
-        with pytest.raises(np.linalg.LinAlgError):
-            _solve(matrix, np.ones(3))
+    flag = _SingularFlag()
+    with _fit_errstate(flag):
+        for size in (1, 2, 3, 11, 20, 65):
+            A = rng.normal(size=(size, size)) + size * np.eye(size)
+            b = rng.normal(size=size)
+            assert _solve(A, b, flag).tobytes() == np.linalg.solve(A, b).tobytes()
+        singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        for matrix in (singular, np.zeros((3, 3))):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(matrix, np.ones(3))
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve(matrix, np.ones(3), flag)
+
+
+def test_solve_ignores_an_invalid_value_raised_before_it():
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    b = np.array([1.0, -1.0])
+    flag = _SingularFlag()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with _fit_errstate(flag):
+            assert np.isnan(np.zeros(1) / np.zeros(1)).all()  # 0 / 0: invalid
+            assert flag.raised
+            assert _solve(A, b, flag).tobytes() == np.linalg.solve(A, b).tobytes()
+            assert not flag.raised
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve(np.zeros((2, 2)), b, flag)
+            assert flag.raised
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 19, 29, 64])
